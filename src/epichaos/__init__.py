@@ -4,9 +4,9 @@ the paired run that measures how fast the two descriptions agree as the
 agent count grows.
 """
 
-from .core import (AgentState, CellIndex, Label, ModelParams, SeedSpec,
-                   TorusGeometry, VELOCITY_JUMP_RATE, advance_free, in_range,
-                   in_range_mask, sample_velocity, torus_distance, unit_vector, wrap)
+from .core import (AgentState, Label, ModelParams, SeedSpec, TorusGeometry,
+                   VELOCITY_JUMP_RATE, advance_free, in_range, sample_velocity,
+                   torus_distance, unit_vector, wrap)
 from .initial import InitialCondition, InitialConditionError, uniform_sir
 from .particle import (ConfigError, Counters, EnsembleState, Event, Trajectory,
                        apply_directed_infection, apply_pair_infection,
@@ -19,9 +19,9 @@ from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
 from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, nf_at,
                         run_ensemble, step_agent)
 from .coupling import (CoupledEnsemble, CoupledTrajectory, CouplingRates,
-                       compute_rates, coupled_infection_event, coupled_recovery,
-                       mismatch_bound, mismatch_fraction, run_coupled,
-                       sample_coupled_initial)
+                       b_attempt, compute_rates, coupled_infection_event,
+                       coupled_recovery, mismatch_bound, mismatch_fraction,
+                       run_coupled, sample_coupled_initial)
 from .observables import (EmpiricalMarginal, GridMismatchError,
                           discrete_transport_cost, empirical_marginal,
                           ensemble_aggregate, l1_distance,

@@ -22,6 +22,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,8 @@ import numpy as np
 from . import __version__, oracles
 from .core import Label, ModelParams, SeedSpec, TWO_PI
 from .initial import InitialCondition, InitialConditionError
-from .kinetic import DiscKernel, GridError, GridSpec, field_from_initial, save_field, solve
+from .kinetic import (SCHEME, DiscKernel, GridError, GridSpec, field_from_initial,
+                      save_field, solve)
 from .meanfield import FieldOracle, constant_oracle, run_ensemble
 from .coupling import mismatch_bound, run_coupled, sample_coupled_initial
 from .observables import empirical_marginal, ensemble_aggregate
@@ -75,10 +77,14 @@ def _parse_matrix(text):
     return [[float(tok) for tok in row.split()] for row in text.split(";")]
 
 
-def parse_config(text: str, kind: str = "particle") -> RunConfig:
+def parse_config(text: str, kind: str = "particle", base_dir=None,
+                 overrides=None) -> RunConfig:
     """Parse and validate a config file; collects every violation.
 
-    Raises ConfigError whose message lists each offending key as
+    ``base_dir`` is the directory a relative ``labels_csv`` is read from
+    (default: the working directory).  ``overrides`` maps ``[run]`` keys to
+    values that replace the file's, and are validated like them.  Raises
+    ConfigError whose message lists each offending key as
     ``section.key: reason``.
     """
     if kind not in KINDS:
@@ -88,6 +94,11 @@ def parse_config(text: str, kind: str = "particle") -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
+    if overrides:
+        if not cp.has_section("run"):
+            cp.add_section("run")
+        for key, value in overrides.items():
+            cp["run"][key] = str(value)
 
     errors = []
 
@@ -164,11 +175,17 @@ def parse_config(text: str, kind: str = "particle") -> RunConfig:
         fractions = (s_frac, i_frac, r_frac)
         if labels_csv is not None:
             try:
-                table = np.loadtxt(labels_csv, delimiter=",", ndmin=2)
-                m0 = int(round(math.sqrt(table.shape[0])))
-                fractions = table.reshape(m0, m0, 3)
-            except OSError as exc:
+                table = np.loadtxt(Path(base_dir or "") / labels_csv, delimiter=",",
+                                   ndmin=2)
+            except (OSError, ValueError) as exc:
                 fail("initial.labels_csv", str(exc))
+            else:
+                m0 = math.isqrt(table.shape[0])
+                if m0 * m0 == table.shape[0] and table.shape[1] == 3:
+                    fractions = table.reshape(m0, m0, 3)
+                else:
+                    fail("initial.labels_csv", f"needs m0*m0 rows of s,i,r, got "
+                         f"{table.shape[0]} rows of {table.shape[1]} values")
         if not errors:
             try:
                 initial = InitialCondition(side=d, fractions=fractions,
@@ -203,6 +220,8 @@ def parse_config(text: str, kind: str = "particle") -> RunConfig:
         snapshot_times = [t_max]
     if replicas is not None and replicas < 1:
         fail("run.replicas", f"must be >= 1, got {replicas}")
+    if n_values and min(n_values) < 1:
+        fail("run.n_values", f"agent counts must be >= 1, got {min(n_values)}")
     if interaction not in ("per_agent", "pair"):
         fail("run.interaction", f"must be per_agent or pair, got {interaction!r}")
     if threads is not None and threads < 1:
@@ -256,8 +275,11 @@ def _config_fingerprint(cfg: RunConfig) -> dict:
 
 
 def _solve_oracle(cfg: RunConfig, out: Path, files: list) -> FieldOracle:
-    """Solve the field once per (model, grid, initial, horizon); cache on disk."""
-    key_src = json.dumps(_config_fingerprint(cfg), sort_keys=True)
+    """Solve the field once per (model, grid, initial, horizon, package
+    version, solver scheme); cache on disk under a temporary name renamed
+    into place, so a crashed or concurrent run leaves no partial file."""
+    key_src = json.dumps({"config": _config_fingerprint(cfg), "version": __version__,
+                          "scheme": SCHEME}, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     cache_dir = out / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -268,8 +290,14 @@ def _solve_oracle(cfg: RunConfig, out: Path, files: list) -> FieldOracle:
         return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side)
     f0 = field_from_initial(cfg.initial, cfg.grid)
     traj = solve(f0, cfg.model, cfg.grid, cfg.t_max, nf_stride=cfg.nf_stride)
-    np.savez(cache, nf_times=traj.nf_times, nf_values=traj.nf_values,
-             mass_times=traj.mass_times, masses=traj.masses)
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, nf_times=traj.nf_times, nf_values=traj.nf_values,
+                     mass_times=traj.mass_times, masses=traj.masses)
+        os.replace(tmp, cache)
+    finally:
+        tmp.unlink(missing_ok=True)
     return FieldOracle(traj.nf_times, traj.nf_values, cfg.model.side)
 
 
@@ -585,18 +613,15 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None, help="override [run] threads")
     args = parser.parse_args(argv)
 
+    overrides = {key: getattr(args, key) for key in ("seed", "replicas", "threads")
+                 if getattr(args, key) is not None}
     try:
         text = Path(args.config).read_text()
-        cfg = parse_config(text, args.kind)
+        cfg = parse_config(text, args.kind, base_dir=Path(args.config).parent,
+                           overrides=overrides)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.replicas is not None:
-        cfg.replicas = args.replicas
-    if args.threads is not None:
-        cfg.threads = args.threads
     try:
         return run_experiment(cfg, args.out)
     except (ConfigError, GridError, OSError) as exc:

@@ -209,52 +209,3 @@ class BlockDraws:
             self.accept[c],
             self.angle[c],
         )
-
-
-class CellIndex:
-    """Uniform-grid neighbor index with cell size >= radius.
-
-    ``candidates`` returns all agents in the 3x3 block of cells around a
-    query point; every agent within ``radius`` is guaranteed to be among
-    them, so an exact distance check on the candidates reproduces the
-    brute-force in-range set agent for agent.
-    """
-
-    def __init__(self, positions: np.ndarray, radius: float, geom: TorusGeometry):
-        self.geom = geom
-        self.m = max(1, int(geom.side / radius))
-        self.h = geom.side / self.m
-        ij = np.floor(positions / self.h).astype(np.int64)
-        np.clip(ij, 0, self.m - 1, out=ij)
-        flat = ij[:, 0] * self.m + ij[:, 1]
-        order = np.argsort(flat, kind="stable")
-        self.sorted_agents = order
-        self.cell_start = np.searchsorted(flat[order], np.arange(self.m * self.m + 1))
-
-    def candidates(self, x) -> np.ndarray:
-        cx = min(int(x[0] / self.h), self.m - 1)
-        cy = min(int(x[1] / self.h), self.m - 1)
-        out = []
-        if self.m <= 3:
-            return self.sorted_agents
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                c = ((cx + dx) % self.m) * self.m + (cy + dy) % self.m
-                out.append(self.sorted_agents[self.cell_start[c]:self.cell_start[c + 1]])
-        return np.concatenate(out)
-
-
-def in_range_mask(positions: np.ndarray, x, r0: float, geom: TorusGeometry,
-                  index: CellIndex | None = None) -> np.ndarray:
-    """Boolean mask over agents strictly within r0 of the point x.
-
-    With ``index`` the distance check runs only on the index candidates;
-    the result is identical to the brute-force scan.
-    """
-    n = positions.shape[0]
-    if index is None:
-        return in_range(positions, x, r0, geom)
-    mask = np.zeros(n, dtype=bool)
-    cand = index.candidates(x)
-    mask[cand] = in_range(positions[cand], x, r0, geom)
-    return mask

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (TWO_PI, BlockDraws, Label, ModelParams, SeedSpec,
-                   CellIndex, TorusGeometry, in_range_mask, wrap)
+from .core import (BlockDraws, Label, ModelParams, SeedSpec, TorusGeometry,
+                   in_range, wrap)
 from .initial import InitialCondition
 from .meanfield import FieldOracle, OracleSpanError
 from .particle import ConfigError, Counters, check_sample_times
@@ -90,10 +90,9 @@ class CouplingRates:
 
 
 def compute_rates(state: CoupledEnsemble, oracle: FieldOracle, i: int,
-                  params: ModelParams, index: CellIndex | None = None) -> CouplingRates:
+                  params: ModelParams) -> CouplingRates:
     """Evaluate the channel intensities for agent i at the current time."""
-    geom = TorusGeometry(params.side)
-    within = in_range_mask(state.x, state.x[i], params.radius, geom, index)
+    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
     within[i] = False
     ai = within & (state.a == Label.I)
     bi = within & (state.b == Label.I)
@@ -119,41 +118,46 @@ def coupled_recovery(state: CoupledEnsemble, i: int) -> CoupledEnsemble:
     return state
 
 
+def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
+    """Maximal-coupling decision of the b-attempt of one proposal.
+
+    p is the share of agents b-infected and in range, q the field
+    intensity, ``partner_b`` the partner check (b-infected and in range,
+    probability p) and u the proposal's uniform.  For q >= p the attempt
+    fires on the partner check or else with the residual probability
+    (q - p)/(1 - p); for q < p the partner check is thinned by q/p.  It
+    fires with probability exactly q, on the partner check as often as
+    the intensities allow.
+    """
+    if q < p:
+        return partner_b and u < q / p
+    return partner_b or (q > p and u < (q - p) / (1.0 - p))
+
+
 def coupled_infection_event(state: CoupledEnsemble, params: ModelParams,
                             oracle: FieldOracle, i: int, partner: int,
                             u: float) -> CoupledEnsemble:
     """Resolve one infection proposal for agent i on both label systems.
 
     The a-attempt fires iff the partner is a-infected and in range, which
-    realizes the empirical interaction intensity exactly.  With q the field
-    intensity and p the empirical b-intensity, the b-attempt reuses the
-    partner check and the uniform u: for q >= p it fires on the partner
-    check or, failing that, with the residual probability (q - p)/(1 - p);
-    for q < p the partner check is thinned by q/p.  Either way the
-    b-attempt probability is exactly q, and shared attempts are kept
-    maximal.  Attempts flip S to I on their own label only.
+    realizes the empirical interaction intensity exactly.  The b-attempt
+    reuses the partner check and the uniform u through ``b_attempt``, so
+    its probability is exactly the field intensity and shared attempts are
+    kept maximal.  Attempts flip S to I on their own label only.
     """
     state.counters.infection_proposals += 1
-    n = state.n
-    geom = TorusGeometry(params.side)
-    within = in_range_mask(state.x, state.x[i], params.radius, geom)
+    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
     b_in = within & (state.b == Label.I)
-    b_in_i = bool(b_in[i])
+    partner_b = bool(b_in[partner])
     b_in[i] = False
-    p = int(np.sum(b_in)) / n
+    p = int(np.sum(b_in)) / state.n
     q = float(oracle.nf_at(state.x[i], state.t))
 
-    a_attempt = partner != i and within[partner] and state.a[partner] == Label.I
-    partner_b = b_in[partner] or (partner == i and b_in_i)
-    if q >= p:
-        b_attempt = partner_b or ((not partner_b) and u < (q - p) / (1.0 - p))
-    else:
-        b_attempt = partner_b and u < q / p
-
-    if a_attempt and state.a[i] == Label.S:
+    if (partner != i and within[partner] and state.a[partner] == Label.I
+            and state.a[i] == Label.S):
         state.a[i] = Label.I
         state.counters.infections += 1
-    if b_attempt and state.b[i] == Label.S:
+    if b_attempt(p, q, partner_b, u) and state.b[i] == Label.S:
         state.b[i] = Label.I
     return state
 
@@ -190,14 +194,15 @@ def sample_coupled_initial(ic: InitialCondition, n: int,
 
 def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOracle,
                 t_max: float, sample_times, seed: SeedSpec | np.random.Generator,
-                observer=None, use_index: bool = False) -> CoupledTrajectory:
+                observer=None) -> CoupledTrajectory:
     """Event-driven run of the paired process.
 
     Shared clocks: velocity jumps at rate 1 and recoveries at the recovery
     rate, per agent; infection proposals at the majorant rate per agent,
-    dispatched to the maximal-coupling resolution.  Positions advance
-    synchronously, so the in-range scan per proposal is a single vectorized
-    pass (or an equivalent cell-index query when ``use_index`` is set).
+    dispatched to the maximal-coupling resolution.  Free flight is lazy, as
+    in ``particle.run``.  A proposal reads a label system only where agent
+    i is susceptible, and counts the b-infected agents in range by
+    scanning the b-infected agents only.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -210,42 +215,41 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     n = state.n
     side = params.side
     r2 = params.radius * params.radius
-    lam = params.infection_rate
-    rate = n * (1.0 + params.recovery_rate + lam)
+    rate = n * (1.0 + params.recovery_rate + params.infection_rate)
     thr_vel = n * 1.0
     thr_rec = thr_vel + n * params.recovery_rate
 
     x, theta, a, b = state.x, state.theta, state.a, state.b
     x0, x1 = x[:, 0].copy(), x[:, 1].copy()
     cs, sn = np.cos(theta), np.sin(theta)
-    buf = np.empty(n)
+    mark = np.full(n, state.t)
     cnt = state.counters
-    geom = TorusGeometry(side)
     lab_s, lab_i = int(Label.S), int(Label.I)
     probe = oracle.scalar_probe()
+
+    # b-infected agents: binf[:nb] in any order, slot[j] = position of j
+    binf = np.empty(n, dtype=np.intp)
+    slot = np.empty(n, dtype=np.intp)
+    nb = int(np.count_nonzero(b == lab_i))
+    binf[:nb] = np.flatnonzero(b == lab_i)
+    slot[binf[:nb]] = np.arange(nb)
 
     expected = rate * max(t_max - state.t, 0.0)
     draws = BlockDraws(rng, n, block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
 
     times, mism, rows_a, rows_b, extras = [], [], [], [], []
 
-    def advance_all(t_to):
-        # canonical up to the harmless x == side rounding edge; record() and
-        # the final state apply the strict fold
-        dt = t_to - state.t
-        if dt > 0.0:
-            np.multiply(cs, dt, out=buf)
-            np.add(x0, buf, out=x0)
-            np.mod(x0, side, out=x0)
-            np.multiply(sn, dt, out=buf)
-            np.add(x1, buf, out=x1)
-            np.mod(x1, side, out=x1)
+    def flush(t_to):
+        dt = t_to - mark
+        x0[:] = wrap(x0 + cs * dt, side)
+        x1[:] = wrap(x1 + sn * dt, side)
+        mark[:] = t_to
+        x[:, 0] = x0
+        x[:, 1] = x1
         state.t = t_to
 
     def record(t_s):
-        advance_all(t_s)
-        x[:, 0] = wrap(x0, side)
-        x[:, 1] = wrap(x1, side)
+        flush(t_s)
         times.append(t_s)
         mism.append(float(np.mean(a != b)))
         rows_a.append(state.counts_a())
@@ -263,10 +267,13 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
             k += 1
         if t_next >= t_max:
             break
-        advance_all(t_next)
         t = t_next
         u = cat * rate
         if u < thr_vel:
+            dt = t - mark[i]
+            x0[i] = wrap(x0[i] + cs[i] * dt, side)
+            x1[i] = wrap(x1[i] + sn[i] * dt, side)
+            mark[i] = t
             theta[i] = ang
             cs[i] = math.cos(ang)
             sn[i] = math.sin(ang)
@@ -278,44 +285,54 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                 a[i] = Label.R
             if bi_inf:
                 b[i] = Label.R
+                nb -= 1
+                last = binf[nb]
+                binf[slot[i]] = last
+                slot[last] = slot[i]
             if ai_inf or bi_inf:
                 cnt.recoveries += 1
         else:
             cnt.infection_proposals += 1
-            xi0, xi1 = x0[i], x1[i]
-            if use_index:
-                x[:, 0] = x0
-                x[:, 1] = x1
-                within = in_range_mask(x, (xi0, xi1), params.radius, geom,
-                                       CellIndex(x, params.radius, geom))
-            else:
-                dx = np.abs(x0 - xi0)
+            a_s = a[i] == lab_s
+            b_s = b[i] == lab_s
+            if not (a_s or b_s):
+                continue
+            dt = t - mark[i]
+            xi0 = (x0[i] + cs[i] * dt) % side
+            xi1 = (x1[i] + sn[i] * dt) % side
+            a_src = a_s and a[partner] == lab_i
+            b_src = b_s and b[partner] == lab_i
+            near = False
+            if partner != i and (a_src or b_src):
+                dt = t - mark[partner]
+                dx = abs(x0[partner] + cs[partner] * dt - xi0) % side
+                dy = abs(x1[partner] + sn[partner] * dt - xi1) % side
+                dx = min(dx, side - dx)
+                dy = min(dy, side - dy)
+                near = dx * dx + dy * dy < r2
+            if a_src and near:
+                a[i] = Label.I
+                cnt.infections += 1
+            if b_s:
+                j = binf[:nb]
+                dt = t - mark[j]
+                dx = np.abs(x0[j] + cs[j] * dt - xi0)
+                np.mod(dx, side, out=dx)
                 np.minimum(dx, side - dx, out=dx)
-                dy = np.abs(x1 - xi1)
+                dy = np.abs(x1[j] + sn[j] * dt - xi1)
+                np.mod(dy, side, out=dy)
                 np.minimum(dy, side - dy, out=dy)
                 dx *= dx
                 dy *= dy
                 dx += dy
-                within = dx < r2
-            b_in = within & (b == lab_i)
-            partner_b = bool(b_in[partner])
-            b_in[i] = False
-            p = np.count_nonzero(b_in) / n
-            q = probe(xi0, xi1, t)
-            if q >= p:
-                b_attempt = partner_b or acc < (q - p) / (1.0 - p)
-            else:
-                b_attempt = partner_b and acc < q / p
-            if partner != i and within[partner] and a[partner] == lab_i \
-                    and a[i] == lab_s:
-                a[i] = Label.I
-                cnt.infections += 1
-            if b_attempt and b[i] == lab_s:
-                b[i] = Label.I
+                p = np.count_nonzero(dx < r2) / n
+                if b_attempt(p, probe(xi0, xi1, t), b_src and near, acc):
+                    b[i] = Label.I
+                    binf[nb] = i
+                    slot[i] = nb
+                    nb += 1
 
-    advance_all(t_max)
-    x[:, 0] = wrap(x0, side)
-    x[:, 1] = wrap(x1, side)
+    flush(t_max)
     return CoupledTrajectory(np.asarray(times), np.asarray(mism),
                              np.asarray(rows_a, dtype=np.int64).reshape(-1, 3),
                              np.asarray(rows_b, dtype=np.int64).reshape(-1, 3),

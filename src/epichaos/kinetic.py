@@ -26,6 +26,9 @@ from .initial import InitialCondition
 
 FIELD_MAGIC = b"EPKF"
 FIELD_VERSION = 1
+#: Names the numerical scheme of ``solve``; change it whenever a change to
+#: the solver can change its output, so that cached solves are recomputed.
+SCHEME = "strang-semilagrangian-1"
 
 
 class GridError(ValueError):

@@ -183,3 +183,92 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["particle", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "model.r0" in capsys.readouterr().err
+
+
+def test_parse_rejects_nonpositive_agent_count(tmp_path, capsys):
+    bad = FULL + "n_values = 0 100\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad, "study")
+    assert "run.n_values" in str(err.value)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(bad)
+    assert main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,flag", [("particle", "--replicas"), ("couple", "--replicas"),
+                                       ("study", "--replicas"), ("particle", "--threads")])
+def test_count_overrides_are_validated(tmp_path, capsys, kind, flag):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL + "n_values = 30 60\n")
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out), flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"run.{flag[2:]}" in err
+    assert not out.exists()
+
+
+LABELS_3x3 = "\n".join(["0.9,0.1,0.0"] * 8 + ["0.5,0.5,0.0"]) + "\n"
+
+
+def test_labels_csv_needs_square_row_count(tmp_path, capsys):
+    (tmp_path / "cells.csv").write_text("0.9,0.1,0.0\n" * 3)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("[initial]", "[initial]\nlabels_csv = cells.csv"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path.read_text(), "particle", base_dir=tmp_path)
+    assert "initial.labels_csv" in str(err.value)
+    assert main(["particle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "initial.labels_csv" in capsys.readouterr().err
+
+
+def test_labels_csv_is_relative_to_the_config_file(tmp_path, monkeypatch):
+    conf_dir = tmp_path / "conf"
+    conf_dir.mkdir()
+    (conf_dir / "cells.csv").write_text(LABELS_3x3)
+    cfg_path = conf_dir / "c.ini"
+    cfg_path.write_text(FULL.replace("[initial]", "[initial]\nlabels_csv = cells.csv"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["particle", "--config", str(cfg_path), "--out", "o"]) == 0
+    manifest = json.loads((elsewhere / "o" / "manifest.json").read_text())
+    fractions = np.asarray(manifest["fingerprint"]["initial"]["fractions"])
+    assert fractions.shape == (3, 3, 3)
+    assert fractions[2, 2].tolist() == [0.5, 0.5, 0.0]
+
+
+def _cache_files(out):
+    return sorted(p.name for p in (out / "cache").iterdir())
+
+
+def test_field_cache_is_keyed_on_version_and_written_atomically(tmp_path, monkeypatch):
+    import epichaos.cli as cli
+
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL)
+    out = tmp_path / "o"
+    argv = ["couple", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    first = (out / "observations.csv").read_bytes()
+    (current,) = _cache_files(out)
+    # a field cached under another version tag must not be loaded: spoil it
+    monkeypatch.setattr(cli, "__version__", "0.0.0-old")
+    assert main(argv) == 0
+    stale = next(name for name in _cache_files(out) if name != current)
+    (out / "cache" / stale).write_bytes(b"not a field")
+    monkeypatch.undo()
+    (out / "cache" / current).unlink()
+    assert main(argv) == 0
+    assert (out / "observations.csv").read_bytes() == first
+    assert _cache_files(out) == sorted([current, stale])
+
+    # a solve that fails while writing leaves nothing behind in cache/
+    def broken_savez(fh, **arrays):
+        fh.write(b"PK partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.np, "savez", broken_savez)
+    fresh = tmp_path / "fresh"
+    assert main(["couple", "--config", str(cfg_path), "--out", str(fresh)]) == 2
+    assert _cache_files(fresh) == []

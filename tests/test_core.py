@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import (SeedSpec, TorusGeometry, AgentState, Label, ModelParams,
-                      advance_free, in_range, in_range_mask, sample_velocity,
-                      torus_distance, wrap, CellIndex)
+                      advance_free, in_range, sample_velocity, torus_distance, wrap)
 from epichaos.core import BlockDraws, TWO_PI
 
 GEOM = TorusGeometry(1.0)
@@ -118,19 +117,6 @@ def test_block_draws_matches_generator_order():
         e, c, a, p, acc, ang = draws.next_event()
         assert (e, c, a, p, acc, ang) == \
             (expo[i], cat[i], agent[i], partner[i], accept[i], angle[i])
-
-
-def test_cell_index_matches_brute_force():
-    rng = np.random.default_rng(11)
-    for trial in range(20):
-        n = 200
-        x = rng.random((n, 2))
-        r0 = 0.05 + 0.3 * rng.random()
-        index = CellIndex(x, r0, GEOM)
-        probe = x[rng.integers(n)]
-        brute = in_range_mask(x, probe, r0, GEOM)
-        fast = in_range_mask(x, probe, r0, GEOM, index)
-        assert np.array_equal(brute, fast)
 
 
 def test_model_params_validation():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec,
-                      compute_rates, constant_oracle, coupled_infection_event,
-                      coupled_recovery, mismatch_bound, mismatch_fraction,
-                      run, run_coupled, run_ensemble, sample_coupled_initial,
-                      sample_initial, uniform_sir, FieldOracle, GridSpec,
+from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec, TorusGeometry,
+                      b_attempt, compute_rates, constant_oracle,
+                      coupled_infection_event, coupled_recovery, mismatch_bound,
+                      mismatch_fraction, run, run_coupled, run_ensemble,
+                      sample_coupled_initial, sample_initial, torus_distance,
+                      uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
                       field_from_initial, solve)
-from epichaos.core import TWO_PI
+from epichaos.core import TWO_PI, BlockDraws
 
 SIDE = 1.0
 
@@ -187,20 +188,122 @@ def test_run_coupled_starts_matched_and_stays_bounded():
     assert np.all(traj.counts_b.sum(axis=1) == 100)
 
 
-def test_run_coupled_is_deterministic_and_index_invariant():
+def test_run_coupled_is_deterministic():
     params = make_params(60)
     orc = constant_oracle(SIDE, 0.05, 1.0)
     state = sample_coupled_initial(uniform_sir(SIDE, 0.8, 0.2, 0.0), 60,
                                    SeedSpec(15).rng())
     a = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(16))
     b = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(16))
-    c = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(16),
-                    use_index=True)
     assert np.array_equal(a.mismatch, b.mismatch)
+    assert np.array_equal(a.counts_a, b.counts_a)
+    assert np.array_equal(a.counts_b, b.counts_b)
     assert np.array_equal(a.final.x, b.final.x)
-    assert np.array_equal(a.mismatch, c.mismatch)
-    assert np.array_equal(a.final.a, c.final.a)
-    assert np.array_equal(a.final.b, c.final.b)
+    assert np.array_equal(a.final.a, b.final.a)
+    assert np.array_equal(a.final.b, b.final.b)
+    assert a.final.counters == b.final.counters
+
+
+def synchronous_reference(initial, params, oracle, t_max, seed):
+    """The paired process the plain way: every position moves on every
+    event, and jumps go through the scalar rules.  Consumes the same
+    ``BlockDraws`` stream as ``run_coupled`` (same block size)."""
+    state = initial.copy()
+    n = state.n
+    rate = n * (1.0 + params.recovery_rate + params.infection_rate)
+    expected = rate * t_max
+    draws = BlockDraws(seed.rng(), n,
+                       block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
+
+    def move(t_to):
+        state.x = wrap(state.x + unit_vector(state.theta) * (t_to - state.t),
+                       params.side)
+        state.t = t_to
+
+    while True:
+        e, cat, i, partner, acc, ang = draws.next_event()
+        t_next = state.t + e / rate
+        if t_next >= t_max:
+            break
+        move(t_next)
+        u = cat * rate
+        if u < n:
+            state.theta[i] = ang
+            state.counters.velocity_jumps += 1
+        elif u < n * (1.0 + params.recovery_rate):
+            coupled_recovery(state, i)
+        else:
+            coupled_infection_event(state, params, oracle, i, partner, acc)
+    move(t_max)
+    return state
+
+
+@pytest.fixture(scope="module")
+def solved_oracle():
+    params = make_params(100, radius=0.2)
+    grid = GridSpec(m=8, k=4, dt=2e-2, side=SIDE)
+    ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
+    return FieldOracle.from_trajectory(
+        solve(field_from_initial(ic, grid), params, grid, 1.5, nf_stride=1))
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
+    # lazy flight and the b-infected subset scan change only the order of
+    # floating-point work, so labels and counters must agree exactly
+    params = make_params(n, radius=0.2)
+    ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
+    geom = TorusGeometry(SIDE)
+    for s in range(20):
+        seed = SeedSpec(31).child(n, s)
+        state = sample_coupled_initial(ic, n, seed.child(0).rng())
+        fast = run_coupled(state, params, solved_oracle, 1.5, [0.0, 1.5],
+                           seed.child(1)).final
+        ref = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
+        assert np.array_equal(fast.a, ref.a), s
+        assert np.array_equal(fast.b, ref.b), s
+        assert fast.counters == ref.counters, s
+        assert fast.t == ref.t == 1.5
+        assert torus_distance(fast.x, ref.x, geom).max() < 1e-9, s
+
+
+def test_b_attempt_branch_values():
+    # p = 0: no partner check can pass, the residual fires with probability q
+    assert b_attempt(0.0, 0.3, False, 0.2999)
+    assert not b_attempt(0.0, 0.3, False, 0.3)
+    assert not b_attempt(0.0, 0.0, False, 0.0)
+    for u in (0.0, 0.5, 0.999):
+        # p = q: exactly the partner check
+        assert b_attempt(0.4, 0.4, True, u)
+        assert not b_attempt(0.4, 0.4, False, u)
+        # q = 0: never
+        assert not b_attempt(0.5, 0.0, True, u)
+        assert not b_attempt(0.5, 0.0, False, u)
+        # p = 1 = q: the partner check, with no 0/0 residual
+        assert b_attempt(1.0, 1.0, True, u)
+        assert not b_attempt(1.0, 1.0, False, u)
+    # residual branch, q > p: (0.6 - 0.2) / (1 - 0.2) = 0.5
+    assert b_attempt(0.2, 0.6, True, 0.999)
+    assert b_attempt(0.2, 0.6, False, 0.4999)
+    assert not b_attempt(0.2, 0.6, False, 0.5)
+    # thinning branch, q < p: 0.25 / 0.5 = 0.5, also at p = 1
+    assert b_attempt(0.5, 0.25, True, 0.4999)
+    assert not b_attempt(0.5, 0.25, True, 0.5)
+    assert not b_attempt(0.5, 0.25, False, 0.0)
+    assert b_attempt(1.0, 0.5, True, 0.4999)
+    assert not b_attempt(1.0, 0.5, True, 0.5)
+
+
+@pytest.mark.parametrize("p,q", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.3), (0.3, 0.8),
+                                 (0.6, 0.1), (0.6, 0.0), (1.0, 1.0), (1.0, 0.4)])
+def test_b_attempt_is_a_maximal_coupling(p, q):
+    # partner check ~ Bernoulli(p), u uniform: integrate over a midpoint grid
+    u = (np.arange(10_000) + 0.5) / 10_000
+    fire_on = np.mean([b_attempt(p, q, True, v) for v in u])
+    fire_off = np.mean([b_attempt(p, q, False, v) for v in u])
+    assert p * fire_on + (1.0 - p) * fire_off == pytest.approx(q, abs=1e-4)
+    # the attempt agrees with the partner check as often as possible
+    assert p * fire_on == pytest.approx(min(p, q), abs=1e-4)
 
 
 def test_marginal_consistency_reduced():
