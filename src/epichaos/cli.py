@@ -383,7 +383,10 @@ def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
         files.append("summary.csv")
 
 
-def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> None:
+def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
+    """Solve and write masses and snapshots; returns the solver's manifest
+    entry: negative densities clamped and the largest one-step change of
+    the total mass."""
     f0 = field_from_initial(cfg.initial, cfg.grid)
     traj = solve(f0, cfg.model, cfg.grid, cfg.t_max,
                  snapshot_times=cfg.snapshot_times, nf_stride=cfg.nf_stride)
@@ -400,6 +403,9 @@ def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> None:
     _write_csv(out / "snapshots.csv",
                ["time", "file", "s_mass", "i_mass", "r_mass"], snap_rows)
     files.append("snapshots.csv")
+    drift = np.abs(np.diff(traj.masses.sum(axis=1))).max(initial=0.0)
+    return {"solver": {"clamp_count": traj.clamp_count,
+                       "max_step_mass_drift": float(drift)}}
 
 
 def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None) -> dict:
@@ -460,12 +466,20 @@ def fit_loglog_slope(n_values, means):
     return slope, se
 
 
-def _run_study(cfg: RunConfig, out: Path, files: list) -> None:
+def _run_study(cfg: RunConfig, out: Path, files: list) -> dict:
+    """Paired runs over the agent counts and a log-log slope per sample
+    time.  A time at which some count has zero mean mismatch cannot be
+    fitted; it is named on stderr and in the manifest entry returned."""
     summaries = _run_couple(cfg, out, files, n_values=cfg.n_values)
     slope_rows = []
+    skipped = []
     for t_idx, t in enumerate(summaries[cfg.n_values[0]][0]):
         means = [summaries[n][1][:, t_idx].mean() for n in cfg.n_values]
         if min(means) <= 0:
+            zero = ", ".join(str(n) for n, m in zip(cfg.n_values, means) if m <= 0)
+            print(f"note: slope.csv skips t={_fmt(float(t))}: mean mismatch is 0 "
+                  f"for n = {zero}", file=sys.stderr)
+            skipped.append(float(t))
             continue
         slope, se = fit_loglog_slope(cfg.n_values, means)
         slope_rows.append((float(t), float(slope), float(se),
@@ -477,6 +491,7 @@ def _run_study(cfg: RunConfig, out: Path, files: list) -> None:
         with open(out / "plot.gp", "w") as fh:
             fh.write(_GNUPLOT_TEMPLATE.format(time=_fmt(slope_rows[-1][0])))
         files.append("plot.gp")
+    return {"slope_skipped_times": skipped}
 
 
 def _validate_checks(cfg: RunConfig):
@@ -574,16 +589,17 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = []
     status = 0
+    extra = {}
     if cfg.kind == "particle":
         _run_particle_like(cfg, out, files, _particle_replica)
     elif cfg.kind == "meanfield":
         _run_particle_like(cfg, out, files, _meanfield_replica)
     elif cfg.kind == "kinetic":
-        _run_kinetic(cfg, out, files)
+        extra = _run_kinetic(cfg, out, files)
     elif cfg.kind == "couple":
         _run_couple(cfg, out, files)
     elif cfg.kind == "study":
-        _run_study(cfg, out, files)
+        extra = _run_study(cfg, out, files)
     elif cfg.kind == "validate":
         status = 1 if _run_validate(cfg, out, files) else 0
     manifest = {
@@ -594,6 +610,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
         "config": cfg.raw,
         "fingerprint": _config_fingerprint(cfg),
         "files": sorted(files),
+        **extra,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

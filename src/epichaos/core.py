@@ -1,4 +1,4 @@
-"""Geometry, agent state, model parameters, and the seeded-stream contract.
+"""Geometry, health labels, model parameters, and the seeded-stream contract.
 
 Shared foundation for every simulator in the package: the flat periodic
 square, unit-speed agents whose velocity is stored as an angle, the
@@ -7,7 +7,7 @@ scheme that hands out reproducible, statistically independent generators.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -78,36 +78,6 @@ def unit_vector(theta):
     return np.stack([np.cos(t), np.sin(t)], axis=-1)
 
 
-@dataclass
-class AgentState:
-    """One agent: position in the square, heading angle, health label."""
-
-    x: np.ndarray
-    theta: float
-    label: Label
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.shape != (2,):
-            raise ValueError("position must be a 2-vector")
-
-    def canonical(self, geom: TorusGeometry) -> "AgentState":
-        return AgentState(geom.wrap(self.x), self.theta % TWO_PI, self.label)
-
-
-def advance_free(agent: AgentState, dt: float, geom: TorusGeometry) -> AgentState:
-    """Free flight for dt: straight unit-speed motion with periodic wrap."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    x = geom.wrap(agent.x + unit_vector(agent.theta) * dt)
-    return AgentState(x, agent.theta, agent.label)
-
-
-def sample_velocity(rng: np.random.Generator) -> float:
-    """Draw a heading uniformly on [0, 2*pi)."""
-    return TWO_PI * rng.random()
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All rate and geometry parameters of the agent model.
@@ -173,9 +143,12 @@ class BlockDraws:
     Each event consumes one slot from every array: a standard exponential
     (holding time), a uniform (event category), two integers in [0, n)
     (agent and partner), and two more uniforms (acceptance and new heading).
-    Drawing in fixed-size blocks keeps the per-event cost small while the
-    sequence stays a pure function of the generator, so trajectories are
-    bit-reproducible no matter how the blocks are sized.
+    Drawing in blocks keeps the per-event cost small.  The variates are a
+    pure function of (generator, n, block): each refill draws a whole block
+    of exponentials before the uniforms, so the same generator read with a
+    different block size hands different values to the same event.  The
+    event loops size the block from ``rate * t_max``, so one seed run to a
+    different horizon gives a different path, even on the shared interval.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, block: int = 4096):

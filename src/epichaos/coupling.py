@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BlockDraws, Label, ModelParams, SeedSpec, TorusGeometry,
-                   in_range, wrap)
+from .core import BlockDraws, Label, ModelParams, SeedSpec, wrap
 from .initial import InitialCondition
 from .meanfield import FieldOracle, OracleSpanError
 from .particle import ConfigError, Counters, check_sample_times
@@ -60,64 +59,6 @@ class CoupledEnsemble:
                                self.b.copy(), self.t, self.counters.copy())
 
 
-@dataclass(frozen=True)
-class CouplingRates:
-    """Per-agent interaction intensities of the coupled jump channels.
-
-    ``shared``: partner infected in both label systems and in range;
-    ``a_only`` / ``b_shared``: partner infected in exactly one system;
-    ``residual``: field intensity minus the empirical b-intensity, which
-    may take either sign.  shared + a_only is the a-system empirical
-    intensity; shared + b_shared + residual is the field intensity.
-    """
-
-    shared: float
-    a_only: float
-    b_shared: float
-    residual: float
-
-    @property
-    def emp_a(self) -> float:
-        return self.shared + self.a_only
-
-    @property
-    def emp_b(self) -> float:
-        return self.shared + self.b_shared
-
-    @property
-    def field_intensity(self) -> float:
-        return self.shared + self.b_shared + self.residual
-
-
-def compute_rates(state: CoupledEnsemble, oracle: FieldOracle, i: int,
-                  params: ModelParams) -> CouplingRates:
-    """Evaluate the channel intensities for agent i at the current time."""
-    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
-    within[i] = False
-    ai = within & (state.a == Label.I)
-    bi = within & (state.b == Label.I)
-    n = state.n
-    shared = int(np.sum(ai & bi)) / n
-    a_only = int(np.sum(ai & ~bi)) / n
-    b_shared = int(np.sum(~ai & bi)) / n
-    nf = float(oracle.nf_at(state.x[i], state.t))
-    return CouplingRates(shared, a_only, b_shared, nf - shared - b_shared)
-
-
-def coupled_recovery(state: CoupledEnsemble, i: int) -> CoupledEnsemble:
-    """One shared recovery tick: both labels apply I -> R simultaneously."""
-    flipped = False
-    if state.a[i] == Label.I:
-        state.a[i] = Label.R
-        flipped = True
-    if state.b[i] == Label.I:
-        state.b[i] = Label.R
-        flipped = True
-    if flipped:
-        state.counters.recoveries += 1
-    return state
-
-
 def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
     """Maximal-coupling decision of the b-attempt of one proposal.
 
@@ -132,34 +73,6 @@ def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
     if q < p:
         return partner_b and u < q / p
     return partner_b or (q > p and u < (q - p) / (1.0 - p))
-
-
-def coupled_infection_event(state: CoupledEnsemble, params: ModelParams,
-                            oracle: FieldOracle, i: int, partner: int,
-                            u: float) -> CoupledEnsemble:
-    """Resolve one infection proposal for agent i on both label systems.
-
-    The a-attempt fires iff the partner is a-infected and in range, which
-    realizes the empirical interaction intensity exactly.  The b-attempt
-    reuses the partner check and the uniform u through ``b_attempt``, so
-    its probability is exactly the field intensity and shared attempts are
-    kept maximal.  Attempts flip S to I on their own label only.
-    """
-    state.counters.infection_proposals += 1
-    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
-    b_in = within & (state.b == Label.I)
-    partner_b = bool(b_in[partner])
-    b_in[i] = False
-    p = int(np.sum(b_in)) / state.n
-    q = float(oracle.nf_at(state.x[i], state.t))
-
-    if (partner != i and within[partner] and state.a[partner] == Label.I
-            and state.a[i] == Label.S):
-        state.a[i] = Label.I
-        state.counters.infections += 1
-    if b_attempt(p, q, partner_b, u) and state.b[i] == Label.S:
-        state.b[i] = Label.I
-    return state
 
 
 def mismatch_fraction(state: CoupledEnsemble) -> float:
@@ -251,7 +164,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     def record(t_s):
         flush(t_s)
         times.append(t_s)
-        mism.append(float(np.mean(a != b)))
+        mism.append(mismatch_fraction(state))
         rows_a.append(state.counts_a())
         rows_b.append(state.counts_b())
         if observer is not None:

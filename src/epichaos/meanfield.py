@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TWO_PI, AgentState, Label, ModelParams, SeedSpec,
-                   VELOCITY_JUMP_RATE, sample_velocity, unit_vector, wrap)
+from .core import (TWO_PI, Label, ModelParams, SeedSpec, VELOCITY_JUMP_RATE,
+                   wrap)
 from .initial import InitialCondition
 from .kinetic import FieldTrajectory
 from .particle import ConfigError, Counters, EnsembleState, Trajectory, check_sample_times
@@ -157,37 +157,6 @@ def constant_oracle(side: float, value: float, t_max: float, m: int = 4) -> Fiel
     """Spatially and temporally constant intensity, handy for law tests."""
     grids = np.full((2, m, m), float(value))
     return FieldOracle(np.array([0.0, t_max]), grids, side)
-
-
-def nf_at(oracle: FieldOracle, x, t):
-    return oracle.nf_at(x, t)
-
-
-def step_agent(agent: AgentState, t: float, oracle: FieldOracle, params: ModelParams,
-               rng: np.random.Generator):
-    """Advance one agent through its next event; returns (agent, new time).
-
-    Scalar reference path for the vectorized ensemble: free flight to the
-    event, then a velocity jump, a recovery tick, or an infection proposal
-    accepted with the local intensity.
-    """
-    mu = VELOCITY_JUMP_RATE + params.recovery_rate + params.infection_rate
-    tau = rng.exponential(1.0 / mu)
-    t_new = t + tau
-    x = wrap(agent.x + unit_vector(agent.theta) * tau, params.side)
-    theta, label = agent.theta, agent.label
-    u = rng.random() * mu
-    if u < VELOCITY_JUMP_RATE:
-        theta = sample_velocity(rng)
-    elif u < VELOCITY_JUMP_RATE + params.recovery_rate:
-        if label == Label.I:
-            label = Label.R
-    else:
-        q = float(oracle.nf_at(x, t_new))
-        assert q <= 1.0
-        if rng.random() < q and label == Label.S:
-            label = Label.I
-    return AgentState(x, theta, label), t_new
 
 
 def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,

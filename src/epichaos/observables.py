@@ -1,7 +1,6 @@
 """Empirical statistics bridging agent ensembles and solver fields:
-histograms of the one-agent state, L1 distances, the transport-cost reading
-of the coupled mismatch, the two-agent factorization gap, and replica
-aggregation.
+histograms of the one-agent state, L1 distances, the two-agent
+factorization gap, and replica aggregation.
 """
 
 import math
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, Label
+from .core import TWO_PI
 from .kinetic import KineticField
 
 
@@ -90,31 +89,6 @@ def l1_distance(m1, m2) -> float:
         raise GridMismatchError(
             f"grid mismatch: {d1.shape} on side {s1} vs {d2.shape} on side {s2}")
     return float(np.abs(d1 - d2).sum() * w1)
-
-
-def discrete_transport_cost(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
-    """Average ground-metric cost of the coupled empirical pair measure.
-
-    The pair (state with a-label, state with b-label) shares positions and
-    headings, so the configurational part of the discrete metric vanishes
-    and only label disagreement contributes.
-    """
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != labels_b.shape:
-        raise ValueError("label vectors must have equal length")
-    ground = (labels_a != labels_b).astype(float)  # 0/1 metric per agent
-    return float(ground.mean())
-
-
-def wasserstein_discrete_upper(traj) -> np.ndarray:
-    """Coupling upper estimate of the discrete-metric transport distance
-    between the one-agent laws, per sample time of a coupled run.
-
-    Since the coupled pair shares positions, the estimate equals the
-    recorded mismatch fraction.
-    """
-    return np.asarray(traj.mismatch, dtype=float)
 
 
 def pair_factorization_gap(samples, side: float, cells: int = 4) -> float:

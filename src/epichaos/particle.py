@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (TWO_PI, BlockDraws, Label, ModelParams, SeedSpec,
-                   TorusGeometry, unit_vector, wrap)
+from .core import BlockDraws, Label, ModelParams, SeedSpec, wrap
 from .initial import InitialCondition
 
 
@@ -69,20 +68,6 @@ class EnsembleState:
                              self.t, self.counters.copy())
 
 
-@dataclass(frozen=True)
-class Event:
-    """One sampled jump: kind in {"velocity", "recovery", "pair", "proposal"}.
-
-    ``pair`` carries an unordered pair (i < j) to which the symmetric
-    infection rule applies; ``proposal`` carries (agent, partner) with the
-    directed rule (only the proposing agent can be infected).
-    """
-
-    kind: str
-    i: int
-    j: int = -1
-
-
 def total_event_rate(params: ModelParams, interaction: str = "pair") -> float:
     """Total constant jump rate of the event-driven scheme.
 
@@ -96,89 +81,6 @@ def total_event_rate(params: ModelParams, interaction: str = "pair") -> float:
     if interaction == "per_agent":
         return base + params.infection_rate * n
     raise ConfigError(f"unknown interaction scheme {interaction!r}")
-
-
-def sample_event(state: EnsembleState, params: ModelParams, rng: np.random.Generator,
-                 interaction: str = "pair"):
-    """Draw (holding time, Event) for the next jump.
-
-    The holding time is exponential with the total rate; the category is
-    chosen proportionally to the per-category rates and the agent (or
-    unordered pair) uniformly within the category.
-    """
-    n = state.n
-    rate = total_event_rate(params, interaction)
-    tau = rng.exponential(1.0 / rate)
-    u = rng.random() * rate
-    if u < n:
-        return tau, Event("velocity", int(rng.integers(n)))
-    if u < n + n * params.recovery_rate:
-        return tau, Event("recovery", int(rng.integers(n)))
-    if interaction == "pair":
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        return tau, Event("pair", min(i, j), max(i, j))
-    return tau, Event("proposal", int(rng.integers(n)), int(rng.integers(n)))
-
-
-def apply_recovery(state: EnsembleState, i: int) -> EnsembleState:
-    """Recovery clock tick on agent i: I -> R, anything else unchanged."""
-    if state.labels[i] == Label.I:
-        state.labels[i] = Label.R
-        state.counters.recoveries += 1
-    return state
-
-
-def apply_pair_infection(state: EnsembleState, i: int, j: int,
-                         params: ModelParams) -> EnsembleState:
-    """Symmetric pair rule: an in-range (S, I) pair becomes (I, I)."""
-    state.counters.infection_proposals += 1
-    a, b = state.labels[i], state.labels[j]
-    if {int(a), int(b)} != {int(Label.S), int(Label.I)}:
-        return state
-    d = np.abs(state.x[i] - state.x[j])
-    d = np.minimum(d, params.side - d)
-    if d[0] * d[0] + d[1] * d[1] < params.radius * params.radius:
-        state.labels[i] = Label.I
-        state.labels[j] = Label.I
-        state.counters.infections += 1
-    return state
-
-
-def apply_directed_infection(state: EnsembleState, target: int, source: int,
-                             params: ModelParams) -> EnsembleState:
-    """Directed rule: target S flips to I iff source is I and in range."""
-    state.counters.infection_proposals += 1
-    if target == source:
-        return state
-    if state.labels[target] != Label.S or state.labels[source] != Label.I:
-        return state
-    d = np.abs(state.x[target] - state.x[source])
-    d = np.minimum(d, params.side - d)
-    if d[0] * d[0] + d[1] * d[1] < params.radius * params.radius:
-        state.labels[target] = Label.I
-        state.counters.infections += 1
-    return state
-
-
-def step(state: EnsembleState, params: ModelParams, rng: np.random.Generator,
-         interaction: str = "per_agent") -> EnsembleState:
-    """Advance by one event: free flight for the holding time, then the jump."""
-    tau, ev = sample_event(state, params, rng, interaction)
-    state.x = wrap(state.x + unit_vector(state.theta) * tau, params.side)
-    state.t += tau
-    if ev.kind == "velocity":
-        state.theta[ev.i] = rng.random() * TWO_PI
-        state.counters.velocity_jumps += 1
-    elif ev.kind == "recovery":
-        apply_recovery(state, ev.i)
-    elif ev.kind == "pair":
-        apply_pair_infection(state, ev.i, ev.j, params)
-    else:
-        apply_directed_infection(state, ev.i, ev.j, params)
-    return state
 
 
 def sample_initial(ic: InitialCondition, n: int, rng: np.random.Generator) -> EnsembleState:

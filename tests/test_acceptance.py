@@ -219,12 +219,12 @@ def test_c08_marginal_convergence(fine_solution, coarse_oracle):
     st = ec.sample_coupled_initial(IC, 500, base.child(0, 0).rng())
     traj = ec.run_coupled(st, BASE.with_n(500), coarse_oracle, 1.0,
                           np.linspace(0.0, 1.0, 11), base.child(0, 1),
-                          observer=lambda s: (s.a.copy(), s.b.copy()))
-    bounds = ec.wasserstein_discrete_upper(traj)
+                          observer=lambda s: s.copy())
+    bounds = traj.mismatch
     exact = all(
-        b >= ec.discrete_transport_cost(a_lab, b_lab) and
-        b == ec.discrete_transport_cost(a_lab, b_lab)
-        for b, (a_lab, b_lab) in zip(bounds, traj.extras))
+        b >= ec.mismatch_fraction(pair) and
+        b == ec.mismatch_fraction(pair)
+        for b, pair in zip(bounds, traj.extras))
     verdict("08 marginal-convergence", decreasing and exact,
             "L1 " + " > ".join(f"{d:.3f}" for d in dists)
             + f"; transport identity on {len(bounds)} snapshots")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epichaos import ConfigError
+from epichaos import ConfigError, field_from_initial, solve
 from epichaos.cli import fit_loglog_slope, main, parse_config, run_experiment
 
 MINIMAL = """
@@ -157,6 +157,34 @@ def test_study_experiment_fits_slope(tmp_path):
     lines = (tmp_path / "o" / "slope.csv").read_text().splitlines()
     assert lines[0] == "time,slope,stderr,ci95_lo,ci95_hi"
     assert (tmp_path / "o" / "plot.gp").exists()
+
+
+def test_study_names_the_sample_times_it_cannot_fit(tmp_path, capsys):
+    # without infections the mismatch is 0 everywhere: no time can be fitted
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("lambda = 1.0", "lambda = 0.0") + "n_values = 1 2\n")
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
+    notes = capsys.readouterr().err.splitlines()
+    assert notes == [f"note: slope.csv skips t={t}: mean mismatch is 0 for n = 1, 2"
+                     for t in ("0.0", "0.25", "0.5")]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["slope_skipped_times"] == [0.0, 0.25, 0.5]
+    assert (out / "slope.csv").read_text() == "time,slope,stderr,ci95_lo,ci95_hi\n"
+
+
+def test_kinetic_manifest_reports_solver_clamps_and_mass_drift(tmp_path):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL)
+    out = tmp_path / "o"
+    assert main(["kinetic", "--config", str(cfg_path), "--out", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    cfg = parse_config(FULL, "kinetic")
+    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max,
+                 nf_stride=cfg.nf_stride)
+    assert solver["clamp_count"] == traj.clamp_count == 0
+    drift = np.abs(np.diff(traj.masses.sum(axis=1))).max()
+    assert solver["max_step_mass_drift"] == drift < 1e-12
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (SeedSpec, TorusGeometry, AgentState, Label, ModelParams,
-                      advance_free, in_range, sample_velocity, torus_distance, wrap)
+from epichaos import (EnsembleState, ModelParams, SeedSpec, TorusGeometry, in_range,
+                      run, torus_distance, unit_vector, wrap)
 from epichaos.core import BlockDraws, TWO_PI
 
 GEOM = TorusGeometry(1.0)
@@ -46,23 +46,41 @@ def test_in_range_radius_beyond_diameter_hits_everything():
     assert np.all(in_range(a, b, 0.8, GEOM))
 
 
+def flight_params(n):
+    return ModelParams(n=n, side=1.0, radius=0.1, infection_rate=0.0, recovery_rate=0.0)
+
+
 def test_advance_free_examples():
-    a = AgentState(np.array([0.5, 0.5]), 0.0, Label.S)
-    assert advance_free(a, 0.25, GEOM).x == pytest.approx([0.75, 0.5])
-    b = AgentState(np.array([0.9, 0.5]), 0.0, Label.S)
-    assert advance_free(b, 0.2, GEOM).x == pytest.approx([0.1, 0.5])
-    c = advance_free(a, 0.0, GEOM)
-    assert np.array_equal(c.x, a.x) and c.theta == a.theta and c.label == a.label
+    # with no reactions and no velocity jump, a run is straight unit-speed
+    # flight wrapped onto the torus
+    state = EnsembleState(np.array([[0.5, 0.5], [0.9, 0.5]]), np.zeros(2),
+                          np.zeros(2, dtype=np.int8))
+    traj = run(state, flight_params(2), 0.2, [0.2], SeedSpec(0))
+    assert traj.final.counters.velocity_jumps == 0
+    assert traj.final.x == pytest.approx(np.array([[0.7, 0.5], [0.1, 0.5]]))
+    still = run(state, flight_params(2), 0.0, [0.0], SeedSpec(0)).final
+    assert np.array_equal(still.x, state.x) and np.array_equal(still.theta, state.theta)
 
 
 def test_advance_free_composes():
+    # observing at s and then at s + t matches one flight of length s + t
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = AgentState(rng.random(2), rng.random() * TWO_PI, Label.I)
-        s, t = rng.random() * 10, rng.random() * 10
-        one = advance_free(advance_free(a, s, GEOM), t, GEOM)
-        two = advance_free(a, s + t, GEOM)
-        assert torus_distance(one.x, two.x, GEOM) < 1e-12
+    checked = 0
+    for r in range(80):
+        x, theta = rng.random((1, 2)), rng.random(1) * TWO_PI
+        s, t = rng.random() * 1.5, rng.random() * 1.5
+        state = EnsembleState(x, theta, np.zeros(1, dtype=np.int8))
+        traj = run(state, flight_params(1), s + t, [s, s + t], SeedSpec(3, (r,)),
+                   observer=lambda st: st.x.copy())
+        if traj.final.counters.velocity_jumps:
+            continue
+        checked += 1
+        at_s = wrap(x + unit_vector(theta) * s, 1.0)
+        at_end = wrap(x + unit_vector(theta) * (s + t), 1.0)
+        assert torus_distance(traj.extras[0], at_s, GEOM).max() < 1e-12
+        assert torus_distance(traj.extras[1], at_end, GEOM).max() < 1e-12
+        assert torus_distance(traj.final.x, at_end, GEOM).max() < 1e-12
+    assert checked >= 10
 
 
 def test_wrap_idempotent_and_edge():
@@ -77,16 +95,15 @@ def test_wrap_idempotent_and_edge():
 
 
 def test_sample_velocity_symmetry():
-    rng = SeedSpec(5).rng()
-    th = np.array([sample_velocity(rng) for _ in range(200_000)])
+    # new headings come from the angle slots of the pre-drawn blocks
+    th = BlockDraws(SeedSpec(5).rng(), n=10, block=200_000).angle
     assert np.all(th >= 0) and np.all(th < TWO_PI)
     assert abs(np.mean(np.cos(th))) < 4 / math.sqrt(th.size)
     assert abs(np.mean(np.sin(th))) < 4 / math.sqrt(th.size)
 
 
 def test_sample_velocity_chi_square():
-    rng = SeedSpec(6).rng()
-    th = rng.random(1_000_000) * TWO_PI
+    th = BlockDraws(SeedSpec(6).rng(), n=10, block=500_000).angle
     hist = np.bincount((th / (TWO_PI / 36)).astype(int), minlength=36)
     chi2 = ((hist - th.size / 36) ** 2 / (th.size / 36)).sum()
     assert stats.chi2.sf(chi2, 35) > 0.001

@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec, TorusGeometry,
-                      b_attempt, compute_rates, constant_oracle,
-                      coupled_infection_event, coupled_recovery, mismatch_bound,
+                      b_attempt, constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_coupled_initial, sample_initial, torus_distance,
                       uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
@@ -29,33 +28,46 @@ def make_coupled(a_labels, b_labels, seed=0, side=SIDE):
     return CoupledEnsemble(rng.random((n, 2)) * side, rng.random(n) * TWO_PI, a, b)
 
 
-def test_compute_rates_collapse_when_labels_agree():
-    labels = np.array([0, 1, 1, 2, 0, 1], dtype=np.int8)
-    state = make_coupled(labels, labels.copy(), seed=1)
-    orc = constant_oracle(SIDE, 0.3, 1.0)
-    rates = compute_rates(state, orc, 0, make_params(6, radius=0.4))
-    assert rates.a_only == 0.0 and rates.b_shared == 0.0
-    assert rates.shared == rates.emp_a == rates.emp_b
-    assert rates.residual == pytest.approx(0.3 - rates.shared)
+# Scalar forms of the two coupled jump rules, acting on a CoupledEnsemble
+# whose positions are current.  They are the reference that run_coupled's
+# inlined loop is checked against.
+
+def coupled_recovery(state, i):
+    """One shared recovery tick: both labels apply I -> R simultaneously."""
+    flipped = False
+    if state.a[i] == Label.I:
+        state.a[i] = Label.R
+        flipped = True
+    if state.b[i] == Label.I:
+        state.b[i] = Label.R
+        flipped = True
+    if flipped:
+        state.counters.recoveries += 1
+    return state
 
 
-def test_compute_rates_isolated_agent():
-    state = make_coupled([0, 1, 1], [0, 1, 1], seed=2)
-    state.x = np.array([[0.1, 0.1], [0.5, 0.5], [0.6, 0.6]])
-    orc = constant_oracle(SIDE, 0.2, 1.0)
-    rates = compute_rates(state, orc, 0, make_params(3, radius=0.05))
-    assert rates.shared == rates.a_only == rates.b_shared == 0.0
-    assert rates.residual == pytest.approx(0.2)
+def coupled_infection_event(state, params, oracle, i, partner, u):
+    """Resolve one infection proposal for agent i on both label systems.
 
+    The a-attempt fires iff the partner is a-infected and in range; the
+    b-attempt reuses the partner check and the uniform u through
+    ``b_attempt``.  Attempts flip S to I on their own label only.
+    """
+    state.counters.infection_proposals += 1
+    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
+    b_in = within & (state.b == Label.I)
+    partner_b = bool(b_in[partner])
+    b_in[i] = False
+    p = int(np.sum(b_in)) / state.n
+    q = float(oracle.nf_at(state.x[i], state.t))
 
-def test_compute_rates_two_agent_example():
-    state = make_coupled([0, 1], [0, 0], seed=3)
-    state.x = np.array([[0.5, 0.5], [0.52, 0.5]])
-    orc = constant_oracle(SIDE, 0.0, 1.0)
-    rates = compute_rates(state, orc, 0, make_params(2, radius=0.1))
-    assert rates.shared == 0.0
-    assert rates.a_only == 0.5
-    assert rates.b_shared == 0.0
+    if (partner != i and within[partner] and state.a[partner] == Label.I
+            and state.a[i] == Label.S):
+        state.a[i] = Label.I
+        state.counters.infections += 1
+    if b_attempt(p, q, partner_b, u) and state.b[i] == Label.S:
+        state.b[i] = Label.I
+    return state
 
 
 def test_coupled_recovery_cases():
@@ -80,13 +92,14 @@ def test_coupled_recovery_never_increases_mismatch():
 
 
 def exact_event_probabilities(state, params, orc, i):
-    """Channel-by-channel law of one proposal, for the micro-law check."""
-    rates = compute_rates(state, orc, i, params)
-    p = rates.emp_b
-    q = rates.field_intensity
-    n = state.n
-    p_a = rates.emp_a
-    # P(b-attempt) must equal q regardless of the configuration
+    """Attempt probabilities of one proposal for agent i: the a-side
+    empirical intensity, the field intensity q (which the b-attempt must
+    match in any configuration) and the b-side empirical intensity p."""
+    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
+    within[i] = False
+    p_a = int(np.sum(within & (state.a == Label.I))) / state.n
+    p = int(np.sum(within & (state.b == Label.I))) / state.n
+    q = float(orc.nf_at(state.x[i], state.t))
     return p_a, q, p
 
 
@@ -143,8 +156,8 @@ def test_coupled_infection_event_identical_acceptance_at_matched_rates():
     params = make_params(5, radius=0.35)
     labels = np.array([0, 1, 1, 0, 2], dtype=np.int8)
     state = make_coupled(labels, labels.copy(), seed=20)
-    rates = compute_rates(state, constant_oracle(SIDE, 0.5, 1.0), 0, params)
-    orc = constant_oracle(SIDE, rates.emp_b, 1.0)
+    _, _, p = exact_event_probabilities(state, params, constant_oracle(SIDE, 0.5, 1.0), 0)
+    orc = constant_oracle(SIDE, p, 1.0)
     rng = SeedSpec(21).rng()
     for _ in range(2000):
         trial = state.copy()

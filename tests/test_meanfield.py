@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from epichaos import (AgentState, FieldOracle, GridSpec, Label, ModelParams,
-                      OracleSpanError, SeedSpec, constant_oracle, field_from_initial,
-                      nf_at, run_ensemble, solve, step_agent, uniform_sir)
-from epichaos.core import TWO_PI
+from epichaos import (FieldOracle, GridSpec, Label, ModelParams, OracleSpanError,
+                      SeedSpec, constant_oracle, field_from_initial, run_ensemble,
+                      solve, uniform_sir)
 
 SIDE = 1.0
 
@@ -29,7 +28,7 @@ def test_nf_at_constant_field():
     pts = rng.random((50, 2))
     ts = rng.random(50) * 2.0
     assert np.allclose(orc.nf_at(pts, ts), 0.25, atol=1e-15)
-    assert float(nf_at(orc, (0.3, 0.4), 1.0)) == pytest.approx(0.25)
+    assert float(orc.nf_at((0.3, 0.4), 1.0)) == pytest.approx(0.25)
 
 
 def test_nf_at_zero_field():
@@ -78,25 +77,22 @@ def test_scalar_probe_matches_vector_path():
 
 
 def test_step_agent_never_infects_on_zero_field():
-    orc = constant_oracle(SIDE, 0.0, 500.0)
-    params = make_params(lam=2.0, gamma=0.0)
-    rng = SeedSpec(3).rng()
-    agent = AgentState(np.array([0.5, 0.5]), 0.0, Label.S)
-    t = 0.0
-    for _ in range(300):
-        agent, t = step_agent(agent, t, orc, params, rng)
-    assert agent.label == Label.S
+    orc = constant_oracle(SIDE, 0.0, 5.0)
+    params = make_params(lam=2.0, gamma=0.0, n=200)
+    traj = run_ensemble(200, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc, params, 5.0, [5.0],
+                        SeedSpec(3))
+    assert traj.final.counters.infection_proposals > 0
+    assert traj.final.counters.infections == 0
+    assert np.all(traj.final.labels == Label.S)
 
 
 def test_step_agent_keeps_recovered_frozen():
-    orc = constant_oracle(SIDE, 1.0, 50.0)
-    params = make_params(lam=5.0, gamma=2.0)
-    rng = SeedSpec(4).rng()
-    agent = AgentState(np.array([0.1, 0.2]), 1.0, Label.R)
-    t = 0.0
-    for _ in range(300):
-        agent, t = step_agent(agent, t, orc, params, rng)
-    assert agent.label == Label.R
+    orc = constant_oracle(SIDE, 1.0, 5.0)
+    params = make_params(lam=5.0, gamma=2.0, n=200)
+    traj = run_ensemble(200, uniform_sir(SIDE, 0.0, 0.0, 1.0), orc, params, 5.0, [5.0],
+                        SeedSpec(4))
+    assert traj.final.counters.infection_proposals > 0
+    assert np.all(traj.final.labels == Label.R)
 
 
 def test_exponential_infection_law_under_constant_intensity():
@@ -109,26 +105,6 @@ def test_exponential_infection_law_under_constant_intensity():
     p = math.exp(-lam * c * t_end)
     frac_s = traj.counts[-1][0] / n
     assert abs(frac_s - p) < 3 * math.sqrt(p * (1 - p) / n)
-
-
-def test_step_agent_law_matches_ensemble_law():
-    # scalar reference path and vectorized path agree on the S-survival law
-    c, lam, t_end = 0.5, 1.0, 1.0
-    orc = constant_oracle(SIDE, c, 100.0)  # generous span: events overshoot t_end
-    params = make_params(lam=lam, gamma=0.0)
-    rng = SeedSpec(6).rng()
-    reps, still_s = 4000, 0
-    for _ in range(reps):
-        agent = AgentState(np.array([0.5, 0.5]), 0.0, Label.S)
-        t = 0.0
-        while True:
-            nxt, t_new = step_agent(agent, t, orc, params, rng)
-            if t_new > t_end:
-                break
-            agent, t = nxt, t_new
-        still_s += agent.label == Label.S
-    p = math.exp(-lam * c * t_end)
-    assert abs(still_s / reps - p) < 4 * math.sqrt(p * (1 - p) / reps)
 
 
 def test_ensemble_agents_are_uncorrelated():

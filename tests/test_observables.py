@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from epichaos import (EnsembleState, GridMismatchError, GridSpec, KineticField,
-                      Label, ModelParams, SeedSpec, constant_oracle,
-                      discrete_transport_cost, empirical_marginal,
-                      ensemble_aggregate, field_from_initial, l1_distance,
-                      pair_factorization_gap, run_coupled,
-                      sample_coupled_initial, sample_initial, uniform_sir,
-                      wasserstein_discrete_upper)
+from epichaos import (CoupledEnsemble, EnsembleState, GridMismatchError, GridSpec,
+                      KineticField, Label, ModelParams, SeedSpec, constant_oracle,
+                      empirical_marginal, ensemble_aggregate, field_from_initial,
+                      l1_distance, mismatch_fraction, pair_factorization_gap,
+                      run_coupled, sample_coupled_initial, sample_initial,
+                      uniform_sir)
 from epichaos.core import TWO_PI
 
 SIDE = 1.0
@@ -79,11 +78,14 @@ def test_l1_marginal_vs_field_shrinks_with_n():
 
 
 def test_transport_cost_equals_mismatch():
+    # the coupled pair shares positions and headings, so the discrete-metric
+    # transport cost of the pair measure is the label mismatch fraction
     rng = np.random.default_rng(6)
     a = rng.integers(0, 3, 500).astype(np.int8)
     b = rng.integers(0, 3, 500).astype(np.int8)
-    assert discrete_transport_cost(a, b) == pytest.approx(np.mean(a != b))
-    assert discrete_transport_cost(a, a) == 0.0
+    x, theta = rng.random((500, 2)), rng.random(500) * TWO_PI
+    assert mismatch_fraction(CoupledEnsemble(x, theta, a, b)) == pytest.approx(np.mean(a != b))
+    assert mismatch_fraction(CoupledEnsemble(x, theta, a, a)) == 0.0
 
 
 def test_wasserstein_upper_bound_sequence():
@@ -93,12 +95,12 @@ def test_wasserstein_upper_bound_sequence():
     state = sample_coupled_initial(uniform_sir(SIDE, 0.5, 0.5, 0.0), 40,
                                    SeedSpec(7).rng())
     traj = run_coupled(state, params, orc, 1.0, [0.0, 0.5, 1.0], SeedSpec(8))
-    bounds = wasserstein_discrete_upper(traj)
+    bounds = traj.mismatch
     assert bounds[0] == 0.0
     assert np.all((bounds >= 0) & (bounds <= 1))
     assert np.all(bounds == 0.0)  # no infection channel, shared recoveries
     # the recorded sequence is exactly the transport cost of the coupled pair
-    assert bounds[-1] == discrete_transport_cost(traj.final.a, traj.final.b)
+    assert bounds[-1] == mismatch_fraction(traj.final)
 
 
 def test_pair_gap_iid_matches_control():

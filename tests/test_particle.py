@@ -5,9 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import (ConfigError, EnsembleState, Label, ModelParams, SeedSpec,
-                      apply_directed_infection, apply_pair_infection, apply_recovery,
-                      run, sample_event, sample_initial, step, total_event_rate,
-                      uniform_sir)
+                      run, sample_initial, total_event_rate, uniform_sir)
 from epichaos.core import TWO_PI
 from epichaos.oracles import master_equation_solve, state_index
 
@@ -32,88 +30,94 @@ def test_total_event_rate_examples():
                             interaction="per_agent") == 250.0
 
 
+def poisson_close(count, mean):
+    return abs(count - mean) < 4 * math.sqrt(mean)
+
+
 def test_sample_event_category_probabilities():
-    params = make_params(2, lam=1.0, gamma=1.0)
-    rng = SeedSpec(1).rng()
-    state = make_state([0, 1])
-    kinds = {"velocity": 0, "recovery": 0, "pair": 0}
-    draws = 30_000
-    taus = np.empty(draws)
-    for d in range(draws):
-        tau, ev = sample_event(state, params, rng)
-        kinds[ev.kind] += 1
-        taus[d] = tau
-    p_pair = kinds["pair"] / draws
-    assert abs(p_pair - 1 / 9) < 4 * math.sqrt((1 / 9) * (8 / 9) / draws)
-    # mean holding time must match the total rate
-    assert abs(taus.mean() - 1 / 4.5) < 4 * taus.std() / math.sqrt(draws)
+    # each clock is a Poisson process: velocity jumps at rate n, proposals
+    # at lam*(n-1)/2 (pair form) or lam*n (per-agent form)
+    n, lam, t_max = 10, 1.5, 100.0
+    params = make_params(n, lam=lam, gamma=1.0)
+    for interaction, proposal_rate in (("pair", lam * (n - 1) / 2), ("per_agent", lam * n)):
+        traj = run(make_state([0] * 5 + [1] * 5), params, t_max, [t_max], SeedSpec(1),
+                   interaction=interaction)
+        cnt = traj.final.counters
+        assert poisson_close(cnt.velocity_jumps, n * t_max)
+        assert poisson_close(cnt.infection_proposals, proposal_rate * t_max)
 
 
 def test_sample_event_no_pairs_for_single_agent():
     params = make_params(1, lam=5.0, gamma=1.0)
-    rng = SeedSpec(2).rng()
-    state = make_state([1])
-    for _ in range(2000):
-        _, ev = sample_event(state, params, rng)
-        assert ev.kind in ("velocity", "recovery")
+    traj = run(make_state([1]), params, 200.0, [200.0], SeedSpec(2), interaction="pair")
+    assert traj.final.counters.velocity_jumps > 0
+    assert traj.final.counters.infection_proposals == 0
 
 
 def test_apply_recovery_rules():
-    state = make_state([1, 0, 2])
-    apply_recovery(state, 0)
-    assert state.labels[0] == Label.R
-    apply_recovery(state, 1)
-    assert state.labels[1] == Label.S
-    apply_recovery(state, 2)
-    assert state.labels[2] == Label.R
-    assert state.counters.recoveries == 1
+    params = make_params(30, lam=0.0, gamma=1.0)
+    state = make_state([0] * 10 + [1] * 10 + [2] * 10)
+    traj = run(state, params, 1.0, [0.0, 1.0], SeedSpec(3))
+    final = traj.final.labels
+    assert traj.final.counters.recoveries == traj.counts[0][1] - traj.counts[-1][1] > 0
+    assert np.all(final[:10] == Label.S)
+    assert np.all(np.isin(final[10:20], [Label.I, Label.R]))
+    assert np.all(final[20:] == Label.R)
 
 
 def test_apply_pair_infection_rules():
-    params = make_params(2, radius=2.0)  # radius beyond the diameter: always in range
+    # radius beyond the diameter: every proposal is in range
+    params = make_params(2, lam=10.0, gamma=0.0, radius=2.0)
     for before, after in [((0, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 0), (0, 0)),
                           ((1, 1), (1, 1)), ((2, 1), (2, 1)), ((0, 2), (0, 2))]:
-        state = make_state(before)
-        apply_pair_infection(state, 0, 1, params)
-        assert tuple(state.labels) == after
+        traj = run(make_state(before), params, 5.0, [5.0], SeedSpec(4), interaction="pair")
+        assert traj.final.counters.infection_proposals > 0
+        assert tuple(traj.final.labels) == after
 
-    # out of range: put the pair at opposite corners with a small radius
-    state = make_state([0, 1])
-    state.x = np.array([[0.0, 0.0], [0.5, 0.5]])
-    apply_pair_infection(state, 0, 1, make_params(2, radius=0.1))
-    assert tuple(state.labels) == (0, 1)
+    # one proposal on an in-range (S, I) pair infects, whichever member is drawn
+    single = 0
+    for r in range(40):
+        for before in ((0, 1), (1, 0)):
+            traj = run(make_state(before), params, 0.1, [0.1], SeedSpec(4, (r,)),
+                       interaction="pair")
+            if traj.final.counters.infection_proposals == 1:
+                single += 1
+                assert tuple(traj.final.labels) == (1, 1)
+    assert single >= 10
+
+    # a tiny radius keeps the pair out of range
+    traj = run(make_state([0, 1]), make_params(2, lam=10.0, gamma=0.0, radius=1e-9),
+               5.0, [5.0], SeedSpec(4), interaction="pair")
+    assert traj.final.counters.infection_proposals > 0
+    assert traj.final.counters.infections == 0
+    assert tuple(traj.final.labels) == (0, 1)
 
 
 def test_apply_directed_infection_only_flips_target():
-    params = make_params(2, radius=2.0)
-    state = make_state([1, 0])
-    apply_directed_infection(state, 0, 1, params)  # target already infected
-    assert tuple(state.labels) == (1, 0)
-    apply_directed_infection(state, 1, 0, params)
-    assert tuple(state.labels) == (1, 1)
-    state = make_state([0, 0])
-    apply_directed_infection(state, 0, 0, params)  # self-pick no-op
-    assert tuple(state.labels) == (0, 0)
+    # a lone S agent can only draw itself as partner
+    traj = run(make_state([0]), make_params(1, lam=10.0, gamma=0.0), 5.0, [5.0],
+               SeedSpec(5))
+    assert traj.final.counters.infection_proposals > 0
+    assert traj.final.counters.infections == 0
+    params = make_params(2, lam=10.0, gamma=0.0, radius=2.0)
+    traj = run(make_state([1, 0]), params, 5.0, [5.0], SeedSpec(5))
+    assert tuple(traj.final.labels) == (1, 1)
+    assert traj.final.counters.infections == 1
 
 
 def test_step_freezes_labels_without_reactions():
     params = make_params(30, lam=0.0, gamma=0.0)
     state = sample_initial(uniform_sir(1.0, 0.5, 0.3, 0.2), 30, SeedSpec(3).rng())
-    before = state.labels.copy()
-    rng = SeedSpec(4).rng()
-    for _ in range(200):
-        step(state, params, rng)
-    assert np.array_equal(state.labels, before)
-    assert state.t > 0
+    traj = run(state, params, 5.0, [5.0], SeedSpec(4))
+    assert np.array_equal(traj.final.labels, state.labels)
+    assert traj.final.counters.velocity_jumps > 0
 
 
 def test_step_keeps_all_recovered_frozen():
     params = make_params(20, lam=2.0, gamma=2.0, radius=2.0)
-    state = make_state([2] * 20)
-    rng = SeedSpec(5).rng()
-    for _ in range(300):
-        step(state, params, rng)
-    assert np.all(state.labels == Label.R)
+    traj = run(make_state([2] * 20), params, 5.0, [5.0], SeedSpec(5))
+    assert traj.final.counters.infection_proposals > 0
+    assert np.all(traj.final.labels == Label.R)
 
 
 def test_run_sample_time_contract():
