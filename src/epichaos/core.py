@@ -146,9 +146,10 @@ class BlockDraws:
     Drawing in blocks keeps the per-event cost small.  The variates are a
     pure function of (generator, n, block): each refill draws a whole block
     of exponentials before the uniforms, so the same generator read with a
-    different block size hands different values to the same event.  The
-    event loops size the block from ``rate * t_max``, so one seed run to a
-    different horizon gives a different path, even on the shared interval.
+    different block size hands different values to the same event.
+    ``event_draws`` sizes the block from ``rate * t_max``, so one seed run
+    to a different horizon gives a different path, even on the shared
+    interval.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, block: int = 4096):
@@ -182,3 +183,80 @@ class BlockDraws:
             self.accept[c],
             self.angle[c],
         )
+
+
+def event_draws(rng: np.random.Generator, n: int, rate: float, duration: float) -> BlockDraws:
+    """The draws of one event-loop run: a block holding the expected number
+    of events, ``rate * duration``, plus six standard deviations and 64."""
+    expected = rate * max(duration, 0.0)
+    return BlockDraws(rng, n, block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
+
+
+class EventClock:
+    """The event clock and the lazy free flight shared by the exact
+    simulators.
+
+    Events come at the constant total ``rate``, each with one slot of
+    ``event_draws``.  The first ``n * VELOCITY_JUMP_RATE`` of ``rate`` on
+    the scaled category uniform are velocity jumps, which the clock applies
+    itself.  Flight is lazy: ``x0``, ``x1`` hold each agent's position at
+    its own ``mark`` time and ``cs``, ``sn`` its heading, so an event costs
+    O(1).  ``flush`` brings every agent forward and writes the positions
+    and the time into the state, which is any state with ``x``, ``theta``,
+    ``t`` and ``counters``.  Observations consume no variates, so the
+    sample times never change the path.
+    """
+
+    def __init__(self, state, side: float, rate: float, t_max: float,
+                 rng: np.random.Generator):
+        self.state, self.side, self.rate, self.t_max = state, side, rate, t_max
+        self.x0, self.x1 = state.x[:, 0].copy(), state.x[:, 1].copy()
+        self.cs, self.sn = np.cos(state.theta), np.sin(state.theta)
+        self.mark = np.full(state.theta.shape[0], state.t)
+        self.draws = event_draws(rng, state.theta.shape[0], rate, t_max - state.t)
+
+    def flush(self, t: float) -> None:
+        dt = t - self.mark
+        self.x0[:] = wrap(self.x0 + self.cs * dt, self.side)
+        self.x1[:] = wrap(self.x1 + self.sn * dt, self.side)
+        self.mark[:] = t
+        self.state.x[:, 0] = self.x0
+        self.state.x[:, 1] = self.x1
+        self.state.t = t
+
+    def events(self, sample_times, record):
+        """Run to ``t_max``, yielding every event that is not a velocity
+        jump as ``(t, u, i, j, acc)``: its time, the category uniform
+        scaled by ``rate``, the agent, the partner and the acceptance
+        uniform.  Before the first event past each sample time the clock
+        flushes to that time and calls ``record(t)``; at the end it flushes
+        to ``t_max``."""
+        x0, x1, cs, sn, mark = self.x0, self.x1, self.cs, self.sn, self.mark
+        theta, cnt, side = self.state.theta, self.state.counters, self.side
+        rate, t_max, next_event = self.rate, self.t_max, self.draws.next_event
+        thr_vel = mark.shape[0] * VELOCITY_JUMP_RATE
+        k = 0
+        t = self.state.t
+        while True:
+            e, cat, i, j, acc, ang = next_event()
+            t_next = t + e / rate
+            while k < len(sample_times) and sample_times[k] <= min(t_next, t_max):
+                self.flush(sample_times[k])
+                record(sample_times[k])
+                k += 1
+            if t_next >= t_max:
+                break
+            t = t_next
+            u = cat * rate
+            if u < thr_vel:
+                dt = t - mark[i]
+                x0[i] = wrap(x0[i] + cs[i] * dt, side)
+                x1[i] = wrap(x1[i] + sn[i] * dt, side)
+                mark[i] = t
+                theta[i] = ang
+                cs[i] = math.cos(ang)
+                sn[i] = math.sin(ang)
+                cnt.velocity_jumps += 1
+            else:
+                yield t, u, i, j, acc
+        self.flush(t_max)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockDraws, Label, ModelParams, SeedSpec, wrap
+from .core import EventClock, Label, ModelParams, SeedSpec, wrap
 from .initial import InitialCondition
 from .meanfield import FieldOracle, OracleSpanError
 from .particle import ConfigError, Counters, check_sample_times
@@ -110,12 +110,12 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                 observer=None) -> CoupledTrajectory:
     """Event-driven run of the paired process.
 
-    Shared clocks: velocity jumps at rate 1 and recoveries at the recovery
-    rate, per agent; infection proposals at the majorant rate per agent,
-    dispatched to the maximal-coupling resolution.  Free flight is lazy, as
-    in ``particle.run``.  A proposal reads a label system only where agent
-    i is susceptible, and counts the b-infected agents in range by
-    scanning the b-infected agents only.
+    Motion, velocity jumps and observations are the shared ``EventClock``.
+    Recoveries are shared too, and infection proposals arrive at the
+    majorant rate per agent for the maximal-coupling resolution.  A
+    proposal reads a label system only where agent i is susceptible, and
+    counts the b-infected agents in range by scanning the b-infected
+    agents only.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -129,13 +129,11 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     side = params.side
     r2 = params.radius * params.radius
     rate = n * (1.0 + params.recovery_rate + params.infection_rate)
-    thr_vel = n * 1.0
-    thr_rec = thr_vel + n * params.recovery_rate
+    thr_rec = n * 1.0 + n * params.recovery_rate
+    clock = EventClock(state, side, rate, t_max, rng)
+    x0, x1, cs, sn, mark = clock.x0, clock.x1, clock.cs, clock.sn, clock.mark
 
-    x, theta, a, b = state.x, state.theta, state.a, state.b
-    x0, x1 = x[:, 0].copy(), x[:, 1].copy()
-    cs, sn = np.cos(theta), np.sin(theta)
-    mark = np.full(n, state.t)
+    a, b = state.a, state.b
     cnt = state.counters
     lab_s, lab_i = int(Label.S), int(Label.I)
     probe = oracle.scalar_probe()
@@ -147,22 +145,9 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     binf[:nb] = np.flatnonzero(b == lab_i)
     slot[binf[:nb]] = np.arange(nb)
 
-    expected = rate * max(t_max - state.t, 0.0)
-    draws = BlockDraws(rng, n, block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
-
     times, mism, rows_a, rows_b, extras = [], [], [], [], []
 
-    def flush(t_to):
-        dt = t_to - mark
-        x0[:] = wrap(x0 + cs * dt, side)
-        x1[:] = wrap(x1 + sn * dt, side)
-        mark[:] = t_to
-        x[:, 0] = x0
-        x[:, 1] = x1
-        state.t = t_to
-
     def record(t_s):
-        flush(t_s)
         times.append(t_s)
         mism.append(mismatch_fraction(state))
         rows_a.append(state.counts_a())
@@ -170,28 +155,8 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
         if observer is not None:
             extras.append(observer(state))
 
-    k = 0
-    t = state.t
-    while True:
-        e, cat, i, partner, acc, ang = draws.next_event()
-        t_next = t + e / rate
-        while k < len(st) and st[k] <= min(t_next, t_max):
-            record(st[k])
-            k += 1
-        if t_next >= t_max:
-            break
-        t = t_next
-        u = cat * rate
-        if u < thr_vel:
-            dt = t - mark[i]
-            x0[i] = wrap(x0[i] + cs[i] * dt, side)
-            x1[i] = wrap(x1[i] + sn[i] * dt, side)
-            mark[i] = t
-            theta[i] = ang
-            cs[i] = math.cos(ang)
-            sn[i] = math.sin(ang)
-            cnt.velocity_jumps += 1
-        elif u < thr_rec:
+    for t, u, i, partner, acc in clock.events(st, record):
+        if u < thr_rec:
             ai_inf = a[i] == lab_i
             bi_inf = b[i] == lab_i
             if ai_inf:
@@ -245,7 +210,6 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                     slot[i] = nb
                     nb += 1
 
-    flush(t_max)
     return CoupledTrajectory(np.asarray(times), np.asarray(mism),
                              np.asarray(rows_a, dtype=np.int64).reshape(-1, 3),
                              np.asarray(rows_b, dtype=np.int64).reshape(-1, 3),

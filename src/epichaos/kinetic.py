@@ -197,23 +197,17 @@ def scattering_step(fld: KineticField, dt: float) -> KineticField:
     return KineticField(out, fld.side, fld.t)
 
 
-def infection_intensity(fld: KineticField, r0: float, backend: str = "spectral",
+def infection_intensity(fld: KineticField, r0: float,
                         kernel: DiscKernel | None = None) -> np.ndarray:
     """Dimensionless interaction intensity grid in [0, 1].
 
-    Convolution of the angle-integrated infected density with the disc
-    indicator of radius r0, by either backend.
+    Spectral convolution of the angle-integrated infected density with the
+    disc indicator of radius r0.
     """
     if kernel is None:
         kernel = DiscKernel(fld.m, fld.side, r0)
     rho_i = fld.values[1].sum(axis=2) * (TWO_PI / fld.k)
-    if backend == "spectral":
-        nf = kernel.spectral(rho_i)
-    elif backend == "direct":
-        nf = kernel.direct(rho_i)
-    else:
-        raise GridError(f"unknown convolution backend {backend!r}")
-    return np.clip(nf, 0.0, 1.0)
+    return np.clip(kernel.spectral(rho_i), 0.0, 1.0)
 
 
 def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: float,
@@ -254,16 +248,15 @@ def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: fl
 class FieldTrajectory:
     """Solver output: requested snapshots plus the intensity record.
 
-    ``snapshots`` hold full fields (with their intensity grids) at the
-    requested times; ``nf_times``/``nf_values`` sample the intensity densely
-    enough for interpolation by downstream consumers; the mass series
-    tracks per-label masses every step.
+    ``snapshots`` hold full fields at the requested times;
+    ``nf_times``/``nf_values`` sample the intensity densely enough for
+    interpolation by downstream consumers; the mass series tracks
+    per-label masses every step.
     """
 
     grid: GridSpec
     snapshot_times: np.ndarray
     snapshots: list
-    snapshot_nf: list
     nf_times: np.ndarray
     nf_values: np.ndarray
     mass_times: np.ndarray
@@ -328,7 +321,7 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
     dt = grid.dt
     half = 0.5 * dt
 
-    snapshots, snapshot_nf = [], []
+    snapshots = []
     nf_times, nf_values = [], []
     mass_times, masses = [], []
     clamps = 0
@@ -345,7 +338,6 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
             nf_values.append(infection_intensity(fld, params.radius, kernel=kernel))
         if step_idx in snap_steps:
             snapshots.append(fld.copy())
-            snapshot_nf.append(infection_intensity(fld, params.radius, kernel=kernel))
 
     record(0)
     for s in range(1, n_steps + 1):
@@ -359,7 +351,7 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
         fld.t = initial.t + s * dt
         record(s)
 
-    return FieldTrajectory(grid, snap_times, snapshots, snapshot_nf,
+    return FieldTrajectory(grid, snap_times, snapshots,
                            np.asarray(nf_times), np.asarray(nf_values),
                            np.asarray(mass_times), np.asarray(masses), clamps)
 

@@ -189,7 +189,6 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
     cnt = Counters()
 
     times, rows, extras = [], [], []
-    boundaries = np.unique(np.concatenate([st, [t_max]]))
 
     def record(t_s):
         c = np.bincount(labels, minlength=3)
@@ -199,12 +198,8 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
             state = EnsembleState(x.copy(), theta.copy(), labels.copy(), t_s, cnt.copy())
             extras.append(observer(state))
 
-    sample_set = set(np.round(st, 12).tolist())
-    if 0.0 in sample_set:
-        record(0.0)
-
-    t_seg = 0.0
-    for t_end in boundaries:
+    # one segment per requested time, then the tail to t_max
+    for k, t_end in enumerate([*st, t_max]):
         while True:
             active = t_next < t_end
             if not active.any():
@@ -245,9 +240,8 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
         x[:, 0] = wrap(x[:, 0] + cs * dt, params.side)
         x[:, 1] = wrap(x[:, 1] + sn * dt, params.side)
         t_cur[:] = t_end
-        if round(float(t_end), 12) in sample_set and t_end > t_seg:
-            record(float(t_end))
-        t_seg = t_end
+        if k < len(st):
+            record(t_end)
 
     final = EnsembleState(x, theta, labels, t_max, cnt)
     return Trajectory(np.asarray(times), np.asarray(rows, dtype=np.int64).reshape(-1, 3),

@@ -14,12 +14,11 @@ only.  Both induce the same generator; runs default to per-agent, which is
 also the form the coupled simulator builds on.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockDraws, Label, ModelParams, SeedSpec, wrap
+from .core import EventClock, Label, ModelParams, SeedSpec, wrap
 from .initial import InitialCondition
 
 
@@ -115,14 +114,12 @@ def check_sample_times(sample_times, t_max: float) -> np.ndarray:
 
 def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
         seed: SeedSpec | np.random.Generator, interaction: str = "per_agent",
-        observer=None, check_invariants: bool = False) -> Trajectory:
+        observer=None) -> Trajectory:
     """Event-driven run to time t_max with observations at the sample times.
 
-    Free flight is applied lazily: an agent's position is brought forward
-    only when an event touches it or an observation snapshots everyone, so
-    the cost per event is O(1).  Observations interpolate the flight to the
-    exact requested times.  Identical initial state, parameters and seed
-    give a bit-identical trajectory.
+    Motion, velocity jumps and observations are the shared ``EventClock``;
+    this loop resolves recoveries and infection proposals.  Identical
+    initial state, parameters and seed give a bit-identical trajectory.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -134,60 +131,23 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
     r2 = params.radius * params.radius
     rate = total_event_rate(params, interaction)
     per_agent = interaction == "per_agent"
-    if not per_agent and interaction != "pair":
-        raise ConfigError(f"unknown interaction scheme {interaction!r}")
-
-    x = state.x
-    theta = state.theta
+    clock = EventClock(state, side, rate, t_max, rng)
+    x0, x1, cs, sn, mark = clock.x0, clock.x1, clock.cs, clock.sn, clock.mark
     labels = state.labels
-    cs = np.cos(theta)
-    sn = np.sin(theta)
-    mark = np.full(n, state.t)
     cnt = state.counters
     n_s, n_i, n_r = state.counts()
-
-    expected = rate * max(t_max - state.t, 0.0)
-    draws = BlockDraws(rng, n, block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
+    thr_rec = n * 1.0 + n * params.recovery_rate
 
     times, rows, extras = [], [], []
 
-    def snapshot(t_s):
-        dt = t_s - mark
-        np.copyto(x[:, 0], wrap(x[:, 0] + cs * dt, side))
-        np.copyto(x[:, 1], wrap(x[:, 1] + sn * dt, side))
-        mark[:] = t_s
-        state.t = t_s
+    def record(t_s):
         times.append(t_s)
         rows.append((n_s, n_i, n_r))
         if observer is not None:
             extras.append(observer(state))
 
-    # thresholds on the category uniform, scaled by the total rate
-    thr_vel = n * 1.0
-    thr_rec = thr_vel + n * params.recovery_rate
-
-    k = 0
-    t = state.t
-    while True:
-        e, cat, i, j, acc, ang = draws.next_event()
-        t_next = t + e / rate
-        while k < len(st) and st[k] <= min(t_next, t_max):
-            snapshot(st[k])
-            k += 1
-        if t_next >= t_max:
-            break
-        t = t_next
-        u = cat * rate
-        if u < thr_vel:
-            dt = t - mark[i]
-            x[i, 0] = wrap(x[i, 0] + cs[i] * dt, side)
-            x[i, 1] = wrap(x[i, 1] + sn[i] * dt, side)
-            mark[i] = t
-            theta[i] = ang
-            cs[i] = math.cos(ang)
-            sn[i] = math.sin(ang)
-            cnt.velocity_jumps += 1
-        elif u < thr_rec:
+    for t, u, i, j, acc in clock.events(st, record):
+        if u < thr_rec:
             if labels[i] == Label.I:
                 labels[i] = Label.R
                 cnt.recoveries += 1
@@ -207,10 +167,10 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
                 else:
                     tgt, src = i, j
             if tgt != src and labels[tgt] == Label.S and labels[src] == Label.I:
-                dxa = abs((x[tgt, 0] + cs[tgt] * (t - mark[tgt]))
-                          - (x[src, 0] + cs[src] * (t - mark[src]))) % side
-                dya = abs((x[tgt, 1] + sn[tgt] * (t - mark[tgt]))
-                          - (x[src, 1] + sn[src] * (t - mark[src]))) % side
+                dxa = abs((x0[tgt] + cs[tgt] * (t - mark[tgt]))
+                          - (x0[src] + cs[src] * (t - mark[src]))) % side
+                dya = abs((x1[tgt] + sn[tgt] * (t - mark[tgt]))
+                          - (x1[src] + sn[src] * (t - mark[src]))) % side
                 dxa = min(dxa, side - dxa)
                 dya = min(dya, side - dya)
                 if dxa * dxa + dya * dya < r2:
@@ -218,16 +178,6 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
                     cnt.infections += 1
                     n_s -= 1
                     n_i += 1
-        if check_invariants:
-            assert n_s + n_i + n_r == n
-            assert n_s >= 0 and n_i >= 0 and n_r >= 0
-
-    snapshot_t = t_max
-    dt_all = snapshot_t - mark
-    np.copyto(x[:, 0], wrap(x[:, 0] + cs * dt_all, side))
-    np.copyto(x[:, 1], wrap(x[:, 1] + sn * dt_all, side))
-    mark[:] = snapshot_t
-    state.t = snapshot_t
 
     return Trajectory(np.asarray(times), np.asarray(rows, dtype=np.int64).reshape(-1, 3),
                       extras, state)

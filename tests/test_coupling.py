@@ -10,7 +10,7 @@ from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec, TorusGeomet
                       sample_coupled_initial, sample_initial, torus_distance,
                       uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
                       field_from_initial, solve)
-from epichaos.core import TWO_PI, BlockDraws
+from epichaos.core import TWO_PI, event_draws
 
 SIDE = 1.0
 
@@ -217,16 +217,58 @@ def test_run_coupled_is_deterministic():
     assert a.final.counters == b.final.counters
 
 
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled"])
+def test_observations_consume_no_variates(loop):
+    # sampling more often flushes the flight more often, which moves the
+    # positions only by rounding; the events and their variates are the same
+    n = 80
+    params = make_params(n, lam=2.0)
+    ic = uniform_sir(SIDE, 0.8, 0.2, 0.0)
+    orc = constant_oracle(SIDE, 0.1, 1.0)
+    finals = []
+    for times in ([1.0], np.linspace(0.0, 1.0, 11)):
+        if loop == "coupled":
+            state = sample_coupled_initial(ic, n, SeedSpec(40).rng())
+            final = run_coupled(state, params, orc, 1.0, times, SeedSpec(41)).final
+            labels = np.concatenate([final.a, final.b])
+        else:
+            state = sample_initial(ic, n, SeedSpec(40).rng())
+            final = run(state, params, 1.0, times, SeedSpec(41), interaction=loop).final
+            labels = final.labels
+        finals.append((labels, final.x, final.theta, final.counters))
+    (la, xa, tha, ca), (lb, xb, thb, cb) = finals
+    assert ca.infections > 0 and ca.recoveries > 0
+    assert np.array_equal(la, lb)
+    assert np.array_equal(tha, thb)
+    assert ca == cb
+    assert torus_distance(xa, xb, TorusGeometry(SIDE)).max() < 1e-12
+
+
+def test_duplicate_sample_times_give_one_row_each():
+    n, times = 20, [0.0, 0.5, 0.5, 1.0]
+    params = make_params(n)
+    ic = uniform_sir(SIDE, 0.8, 0.2, 0.0)
+    orc = constant_oracle(SIDE, 0.3, 1.0)
+    ens = run_ensemble(n, ic, orc, params, 1.0, times, SeedSpec(42))
+    agents = run(sample_initial(ic, n, SeedSpec(43).rng()), params, 1.0, times,
+                 SeedSpec(44))
+    paired = run_coupled(sample_coupled_initial(ic, n, SeedSpec(43).rng()), params, orc,
+                         1.0, times, SeedSpec(44))
+    for traj_times, counts in ((ens.times, ens.counts), (agents.times, agents.counts),
+                               (paired.times, paired.counts_a)):
+        assert np.array_equal(traj_times, times)
+        assert counts.shape == (4, 3)
+        assert np.array_equal(counts[1], counts[2])
+
+
 def synchronous_reference(initial, params, oracle, t_max, seed):
     """The paired process the plain way: every position moves on every
     event, and jumps go through the scalar rules.  Consumes the same
-    ``BlockDraws`` stream as ``run_coupled`` (same block size)."""
+    ``event_draws`` stream as ``run_coupled``."""
     state = initial.copy()
     n = state.n
     rate = n * (1.0 + params.recovery_rate + params.infection_rate)
-    expected = rate * t_max
-    draws = BlockDraws(seed.rng(), n,
-                       block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
+    draws = event_draws(seed.rng(), n, rate, t_max)
 
     def move(t_to):
         state.x = wrap(state.x + unit_vector(state.theta) * (t_to - state.t),

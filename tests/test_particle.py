@@ -152,7 +152,10 @@ def test_run_counts_match_monotonicity():
     params = make_params(300, lam=2.0, gamma=1.0)
     state = sample_initial(uniform_sir(1.0, 0.7, 0.3, 0.0), 300, SeedSpec(9).rng())
     traj = run(state, params, 2.0, np.linspace(0, 2, 21), SeedSpec(10),
-               check_invariants=True)
+               observer=lambda s: np.bincount(s.labels, minlength=3))
+    # the running counts agree with the labels at every observation
+    assert len(traj.extras) == 21
+    assert np.array_equal(np.array(traj.extras), traj.counts)
     s, r = traj.counts[:, 0], traj.counts[:, 2]
     assert np.all(np.diff(s) <= 0)
     assert np.all(np.diff(r) >= 0)
