@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -274,31 +274,47 @@ def _config_fingerprint(cfg: RunConfig) -> dict:
     }
 
 
-def _solve_oracle(cfg: RunConfig, out: Path, files: list) -> FieldOracle:
-    """Solve the field once per (model, grid, initial, horizon, package
-    version, solver scheme); cache on disk under a temporary name renamed
-    into place, so a crashed or concurrent run leaves no partial file."""
+def _solver_stats(traj) -> dict:
+    """The solver's manifest entry: negative densities clamped and the
+    largest one-step change of the total mass."""
+    drift = np.abs(np.diff(traj.masses.sum(axis=1))).max(initial=0.0)
+    return {"clamp_count": int(traj.clamp_count), "max_step_mass_drift": float(drift)}
+
+
+#: Arrays of a cached field solve; part of the cache key.
+_CACHE_LAYOUT = ("nf_times", "nf_values", "clamp_count", "max_step_mass_drift")
+
+
+def _solve_oracle(cfg: RunConfig, out: Path, files: list):
+    """The field's oracle and solver stats.  Solved once per (model, grid,
+    initial, horizon, package version, solver scheme, cache layout); cached
+    on disk under a temporary name renamed into place, so a crashed or
+    concurrent run leaves no partial file."""
     key_src = json.dumps({"config": _config_fingerprint(cfg), "version": __version__,
-                          "scheme": SCHEME}, sort_keys=True)
+                          "scheme": SCHEME, "layout": _CACHE_LAYOUT}, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     cache_dir = out / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache = cache_dir / f"kinetic_{key}.npz"
     files.append(str(cache.relative_to(out)))
     if cache.exists():
-        data = np.load(cache)
-        return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side)
-    f0 = field_from_initial(cfg.initial, cfg.grid)
-    traj = solve(f0, cfg.model, cfg.grid, cfg.t_max, nf_stride=cfg.nf_stride)
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, nf_times=traj.nf_times, nf_values=traj.nf_values,
-                     mass_times=traj.mass_times, masses=traj.masses)
-        os.replace(tmp, cache)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return FieldOracle(traj.nf_times, traj.nf_values, cfg.model.side)
+        with np.load(cache) as npz:
+            data = dict(npz)
+    else:
+        traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid,
+                     cfg.t_max, nf_stride=cfg.nf_stride)
+        data = {"nf_times": traj.nf_times, "nf_values": traj.nf_values,
+                **_solver_stats(traj)}
+        tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **{name: data[name] for name in _CACHE_LAYOUT})
+            os.replace(tmp, cache)
+        finally:
+            tmp.unlink(missing_ok=True)
+    solver = {"clamp_count": int(data["clamp_count"]),
+              "max_step_mass_drift": float(data["max_step_mass_drift"])}
+    return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side), solver
 
 
 def _particle_replica(args):
@@ -331,7 +347,7 @@ def _couple_replica(args):
     state = sample_coupled_initial(cfg.initial, n, seed.child(0).rng())
     traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
                        cfg.sample_times, seed.child(1))
-    return traj.times, traj.mismatch, traj.counts_a, traj.counts_b
+    return traj.times, traj.mismatch, traj.counts_a, traj.counts_b, asdict(traj.channels)
 
 
 def _pool_map(task, jobs, threads):
@@ -341,11 +357,14 @@ def _pool_map(task, jobs, threads):
         return list(pool.map(task, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
 
 
-def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
+def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> dict:
+    """Replicated particle or field-driven runs; returns the manifest entry
+    of the field solve, if any."""
+    extra = {}
     if task is _particle_replica:
         jobs = [(cfg, rid) for rid in range(cfg.replicas)]
     else:
-        oracle = _solve_oracle(cfg, out, files)
+        oracle, extra["solver"] = _solve_oracle(cfg, out, files)
         jobs = [(cfg, oracle, rid) for rid in range(cfg.replicas)]
     results = _pool_map(task, jobs, cfg.threads)
     rows = []
@@ -381,12 +400,12 @@ def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
         _write_csv(out / "summary.csv",
                    ["time", "s_mean", "s_ci", "i_mean", "i_ci", "r_mean", "r_ci"], srows)
         files.append("summary.csv")
+    return extra
 
 
 def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
     """Solve and write masses and snapshots; returns the solver's manifest
-    entry: negative densities clamped and the largest one-step change of
-    the total mass."""
+    entry."""
     f0 = field_from_initial(cfg.initial, cfg.grid)
     traj = solve(f0, cfg.model, cfg.grid, cfg.t_max,
                  snapshot_times=cfg.snapshot_times, nf_stride=cfg.nf_stride)
@@ -403,27 +422,30 @@ def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
     _write_csv(out / "snapshots.csv",
                ["time", "file", "s_mass", "i_mass", "r_mass"], snap_rows)
     files.append("snapshots.csv")
-    drift = np.abs(np.diff(traj.masses.sum(axis=1))).max(initial=0.0)
-    return {"solver": {"clamp_count": traj.clamp_count,
-                       "max_step_mass_drift": float(drift)}}
+    return {"solver": _solver_stats(traj)}
 
 
-def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None) -> dict:
-    oracle = _solve_oracle(cfg, out, files)
+def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None):
+    """Paired runs per agent count.  Returns the mismatch series per n and
+    the manifest entry: solver stats and the b-attempt channel counts
+    summed over the replicas of each n."""
+    oracle, solver = _solve_oracle(cfg, out, files)
     n_values = n_values or [cfg.model.n]
     rows = []
     summaries = {}
+    channels = {}
     for n in n_values:
         jobs = [(cfg, oracle, rid, n) for rid in range(cfg.replicas)]
         results = _pool_map(_couple_replica, jobs, cfg.threads)
-        for rid, (times, mism, ca, cb) in enumerate(results):
+        for rid, (times, mism, ca, cb, _) in enumerate(results):
             for j, t in enumerate(times):
                 rows.append((n, rid, float(t), float(mism[j]),
                              ca[j, 0], ca[j, 1], ca[j, 2],
                              cb[j, 0], cb[j, 1], cb[j, 2]))
-        stack = np.array([mism for _, mism, _, _ in results])
+        stack = np.array([r[1] for r in results])
         times = results[0][0]
         summaries[n] = (times, stack)
+        channels[str(n)] = {key: sum(r[4][key] for r in results) for key in results[0][4]}
     _write_csv(out / "observations.csv",
                ["n", "replica", "time", "mismatch",
                 "s_a", "i_a", "r_a", "s_b", "i_b", "r_b"], rows)
@@ -439,7 +461,7 @@ def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None) -> dict:
         _write_csv(out / "summary.csv",
                    ["n", "time", "mismatch_mean", "mismatch_ci", "bound"], srows)
         files.append("summary.csv")
-    return summaries
+    return summaries, {"solver": solver, "coupling_channels": channels}
 
 
 _GNUPLOT_TEMPLATE = """# mismatch scaling, log-log
@@ -470,7 +492,7 @@ def _run_study(cfg: RunConfig, out: Path, files: list) -> dict:
     """Paired runs over the agent counts and a log-log slope per sample
     time.  A time at which some count has zero mean mismatch cannot be
     fitted; it is named on stderr and in the manifest entry returned."""
-    summaries = _run_couple(cfg, out, files, n_values=cfg.n_values)
+    summaries, extra = _run_couple(cfg, out, files, n_values=cfg.n_values)
     slope_rows = []
     skipped = []
     for t_idx, t in enumerate(summaries[cfg.n_values[0]][0]):
@@ -491,7 +513,7 @@ def _run_study(cfg: RunConfig, out: Path, files: list) -> dict:
         with open(out / "plot.gp", "w") as fh:
             fh.write(_GNUPLOT_TEMPLATE.format(time=_fmt(slope_rows[-1][0])))
         files.append("plot.gp")
-    return {"slope_skipped_times": skipped}
+    return {**extra, "slope_skipped_times": skipped}
 
 
 def _validate_checks(cfg: RunConfig):
@@ -593,11 +615,11 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
     if cfg.kind == "particle":
         _run_particle_like(cfg, out, files, _particle_replica)
     elif cfg.kind == "meanfield":
-        _run_particle_like(cfg, out, files, _meanfield_replica)
+        extra = _run_particle_like(cfg, out, files, _meanfield_replica)
     elif cfg.kind == "kinetic":
         extra = _run_kinetic(cfg, out, files)
     elif cfg.kind == "couple":
-        _run_couple(cfg, out, files)
+        extra = _run_couple(cfg, out, files)[1]
     elif cfg.kind == "study":
         extra = _run_study(cfg, out, files)
     elif cfg.kind == "validate":

@@ -152,6 +152,8 @@ class BlockDraws:
     interval.
     """
 
+    SLICE = 2048
+
     def __init__(self, rng: np.random.Generator, n: int, block: int = 4096):
         self.rng = rng
         self.n = int(n)
@@ -166,23 +168,20 @@ class BlockDraws:
         self.partner = self.rng.integers(0, self.n, size=b)
         self.accept = self.rng.random(b)
         self.angle = self.rng.random(b) * TWO_PI
-        self.cursor = 0
 
-    def next_event(self):
-        """Return (expo, cat, agent, partner, accept, angle) for one event."""
-        c = self.cursor
-        if c >= self.block:
+    def __iter__(self):
+        """Yield ``(expo, cat, agent, partner, accept, angle)`` slot by slot
+        as Python scalars, refilling after the last slot of each block.
+        The arrays are converted ``SLICE`` slots at a time: a scalar costs
+        less per event than a numpy element, and a slice costs less memory
+        than a whole block of Python objects."""
+        while True:
+            for s in range(0, self.block, self.SLICE):
+                k = slice(s, s + self.SLICE)
+                yield from zip(self.expo[k].tolist(), self.cat[k].tolist(),
+                               self.agent[k].tolist(), self.partner[k].tolist(),
+                               self.accept[k].tolist(), self.angle[k].tolist())
             self._refill()
-            c = 0
-        self.cursor = c + 1
-        return (
-            self.expo[c],
-            self.cat[c],
-            int(self.agent[c]),
-            int(self.partner[c]),
-            self.accept[c],
-            self.angle[c],
-        )
 
 
 def event_draws(rng: np.random.Generator, n: int, rate: float, duration: float) -> BlockDraws:
@@ -233,12 +232,11 @@ class EventClock:
         to ``t_max``."""
         x0, x1, cs, sn, mark = self.x0, self.x1, self.cs, self.sn, self.mark
         theta, cnt, side = self.state.theta, self.state.counters, self.side
-        rate, t_max, next_event = self.rate, self.t_max, self.draws.next_event
+        rate, t_max = self.rate, self.t_max
         thr_vel = mark.shape[0] * VELOCITY_JUMP_RATE
         k = 0
         t = self.state.t
-        while True:
-            e, cat, i, j, acc, ang = next_event()
+        for e, cat, i, j, acc, ang in self.draws:
             t_next = t + e / rate
             while k < len(sample_times) and sample_times[k] <= min(t_next, t_max):
                 self.flush(sample_times[k])
@@ -249,9 +247,12 @@ class EventClock:
             t = t_next
             u = cat * rate
             if u < thr_vel:
+                # the scalar form of ``wrap``
                 dt = t - mark[i]
-                x0[i] = wrap(x0[i] + cs[i] * dt, side)
-                x1[i] = wrap(x1[i] + sn[i] * dt, side)
+                v = (x0[i] + cs[i] * dt) % side
+                x0[i] = 0.0 if v >= side else v
+                v = (x1[i] + sn[i] * dt) % side
+                x1[i] = 0.0 if v >= side else v
                 mark[i] = t
                 theta[i] = ang
                 cs[i] = math.cos(ang)

@@ -75,6 +75,16 @@ def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
     return partner_b or (q > p and u < (q - p) / (1.0 - p))
 
 
+def b_shortcut(partner_b: bool, u: float, q: float):
+    """``b_attempt(p, q, partner_b, u)`` where it does not depend on p,
+    else None.  On the partner check u < q fires, since q/p >= q; without
+    it u >= q does not, since (q - p)/(1 - p) <= q, with a margin of 1e-12
+    against the rounding of the residual."""
+    if partner_b:
+        return True if u < q else None
+    return False if u >= q * (1.0 + 1e-12) else None
+
+
 def mismatch_fraction(state: CoupledEnsemble) -> float:
     """Fraction of agents whose two labels disagree."""
     return float(np.mean(state.a != state.b))
@@ -87,8 +97,28 @@ def mismatch_bound(t: float, infection_rate: float, n: int) -> float:
 
 
 @dataclass
+class Channels:
+    """How the b-attempts of one run were settled.
+
+    ``b_proposals`` reached a b-susceptible agent; ``probes`` of them read
+    the field intensity q and ``scans`` counted the in-range share p.  A
+    b fire comes on the partner check (``partner_fires``) or on the
+    residual (q - p)/(1 - p) (``residual_fires``); ``thinned`` partner
+    checks passed but were thinned away by q/p.
+    """
+
+    b_proposals: int = 0
+    probes: int = 0
+    scans: int = 0
+    partner_fires: int = 0
+    residual_fires: int = 0
+    thinned: int = 0
+
+
+@dataclass
 class CoupledTrajectory:
-    """Sampled mismatch fractions and both systems' label counts."""
+    """Sampled mismatch fractions, both systems' label counts and the
+    b-attempt channel counts of the run."""
 
     times: np.ndarray
     mismatch: np.ndarray
@@ -96,6 +126,7 @@ class CoupledTrajectory:
     counts_b: np.ndarray
     extras: list
     final: CoupledEnsemble
+    channels: Channels
 
 
 def sample_coupled_initial(ic: InitialCondition, n: int,
@@ -113,9 +144,10 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     Motion, velocity jumps and observations are the shared ``EventClock``.
     Recoveries are shared too, and infection proposals arrive at the
     majorant rate per agent for the maximal-coupling resolution.  A
-    proposal reads a label system only where agent i is susceptible, and
-    counts the b-infected agents in range by scanning the b-infected
-    agents only.
+    proposal reads a label system only where agent i is susceptible.  The
+    b-attempt looks up q only where the partner check and u do not settle
+    it against the largest record value, and counts p, scanning the
+    b-infected agents only, where q does not settle it either.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -137,6 +169,8 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     cnt = state.counters
     lab_s, lab_i = int(Label.S), int(Label.I)
     probe = oracle.scalar_probe()
+    q_cap = oracle.probe_cap
+    b_prop = n_probe = n_scan = partner_fires = residual_fires = thinned = 0
 
     # b-infected agents: binf[:nb] in any order, slot[j] = position of j
     binf = np.empty(n, dtype=np.intp)
@@ -191,7 +225,20 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
             if a_src and near:
                 a[i] = Label.I
                 cnt.infections += 1
-            if b_s:
+            if not b_s:
+                continue
+            # without the partner check, u >= q_cap settles the b-attempt
+            # before q is looked up; b_shortcut settles most of the rest
+            # before p is counted
+            b_prop += 1
+            pb = b_src and near
+            if not pb and acc >= q_cap:
+                continue
+            q = probe(xi0, xi1, t)
+            n_probe += 1
+            fire = b_shortcut(pb, acc, q)
+            if fire is None:
+                n_scan += 1
                 j = binf[:nb]
                 dt = t - mark[j]
                 dx = np.abs(x0[j] + cs[j] * dt - xi0)
@@ -203,14 +250,23 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                 dx *= dx
                 dy *= dy
                 dx += dy
-                p = np.count_nonzero(dx < r2) / n
-                if b_attempt(p, probe(xi0, xi1, t), b_src and near, acc):
-                    b[i] = Label.I
-                    binf[nb] = i
-                    slot[i] = nb
-                    nb += 1
+                fire = b_attempt(np.count_nonzero(dx < r2) / n, q, pb, acc)
+            if not fire:
+                if pb:
+                    thinned += 1
+                continue
+            if pb:
+                partner_fires += 1
+            else:
+                residual_fires += 1
+            b[i] = Label.I
+            binf[nb] = i
+            slot[i] = nb
+            nb += 1
 
     return CoupledTrajectory(np.asarray(times), np.asarray(mism),
                              np.asarray(rows_a, dtype=np.int64).reshape(-1, 3),
                              np.asarray(rows_b, dtype=np.int64).reshape(-1, 3),
-                             extras, state)
+                             extras, state,
+                             Channels(b_prop, n_probe, n_scan, partner_fires,
+                                      residual_fires, thinned))

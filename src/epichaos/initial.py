@@ -6,12 +6,11 @@ grid solver (exact cell-average projection), so both start from the same
 distribution by construction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, Label, TorusGeometry, unit_vector
+from .core import TWO_PI, Label
 
 NORMALIZATION_TOL = 1e-9
 

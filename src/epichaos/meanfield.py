@@ -62,6 +62,12 @@ class FieldOracle:
     def span(self):
         return float(self.times[0]), float(self.times[-1])
 
+    @property
+    def probe_cap(self) -> float:
+        """A bound on every ``scalar_probe`` value: the largest record,
+        with room for the rounding of the interpolation weights."""
+        return float(self.grids.max()) * (1.0 + 1e-9)
+
     def nf_at(self, x, t):
         """Intensity at position(s) x and time(s) t, in [0, 1].
 

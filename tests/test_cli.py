@@ -1,11 +1,10 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epichaos import ConfigError, field_from_initial, solve
-from epichaos.cli import fit_loglog_slope, main, parse_config, run_experiment
+from epichaos.cli import fit_loglog_slope, main, parse_config
 
 MINIMAL = """
 [model]
@@ -185,6 +184,49 @@ def test_kinetic_manifest_reports_solver_clamps_and_mass_drift(tmp_path):
     assert solver["clamp_count"] == traj.clamp_count == 0
     drift = np.abs(np.diff(traj.masses.sum(axis=1))).max()
     assert solver["max_step_mass_drift"] == drift < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["meanfield", "couple", "study"])
+def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path, monkeypatch):
+    import epichaos.cli as cli
+
+    text = FULL + "n_values = 20 40\n" if kind == "study" else FULL
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    cfg = parse_config(text, kind)
+    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max,
+                 nf_stride=cfg.nf_stride)
+    want = {"clamp_count": traj.clamp_count,
+            "max_step_mass_drift": float(np.abs(np.diff(traj.masses.sum(axis=1))).max())}
+    out = tmp_path / "o"
+    argv = [kind, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    miss = json.loads((out / "manifest.json").read_text())["solver"]
+    # the second run must read the stats back from the cached solve
+    monkeypatch.setattr(cli, "solve", None)
+    assert main(argv) == 0
+    hit = json.loads((out / "manifest.json").read_text())["solver"]
+    assert miss == hit == want
+
+
+def test_couple_manifest_reports_b_channel_counts(tmp_path):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("r0 = 0.1", "r0 = 0.3"))
+    out = tmp_path / "o"
+    assert main(["couple", "--config", str(cfg_path), "--out", str(out)]) == 0
+    channels = json.loads((out / "manifest.json").read_text())["coupling_channels"]
+    assert list(channels) == ["60"]
+    ch = channels["60"]
+    assert set(ch) == {"b_proposals", "probes", "scans", "partner_fires",
+                       "residual_fires", "thinned"}
+    assert ch["scans"] <= ch["probes"] <= ch["b_proposals"]
+    assert ch["residual_fires"] + ch["partner_fires"] <= ch["b_proposals"]
+    assert ch["residual_fires"] + ch["thinned"] <= ch["scans"]
+    assert ch["partner_fires"] > 0
+    # the b infections of the observations are the fires of the two channels
+    rows = np.loadtxt(out / "observations.csv", delimiter=",", skiprows=1)
+    s_b = rows[:, 7].reshape(3, -1)
+    assert (s_b[:, 0] - s_b[:, -1]).sum() == ch["partner_fires"] + ch["residual_fires"]
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,10 +131,30 @@ def test_block_draws_matches_generator_order():
     partner = rng.integers(0, 10, size=128)
     accept = rng.random(128)
     angle = rng.random(128) * TWO_PI
-    for i in range(5):
-        e, c, a, p, acc, ang = draws.next_event()
-        assert (e, c, a, p, acc, ang) == \
-            (expo[i], cat[i], agent[i], partner[i], accept[i], angle[i])
+    for i, slot in zip(range(5), draws):
+        assert slot == (expo[i], cat[i], agent[i], partner[i], accept[i], angle[i])
+
+
+def test_block_draws_reader_slices_and_refills():
+    # a block of 5000 slots is two whole slices and a short one; read it and
+    # the refill after it
+    block, n = 5000, 7
+    assert block % BlockDraws.SLICE
+    spec = SeedSpec(9, (2,))
+    rng = spec.rng()
+    want = []
+    for _ in range(2):
+        arrays = (rng.standard_exponential(block), rng.random(block),
+                  rng.integers(0, n, size=block), rng.integers(0, n, size=block),
+                  rng.random(block), rng.random(block) * TWO_PI)
+        want += zip(*(a.tolist() for a in arrays))
+    draws = BlockDraws(spec.rng(), n=n, block=block)
+    first = (draws.expo.copy(), draws.cat.copy(), draws.agent.copy(),
+             draws.partner.copy(), draws.accept.copy(), draws.angle.copy())
+    got = list(itertools.islice(draws, 2 * block))
+    assert got == want
+    assert [type(v) for v in got[-1]] == [float, float, int, int, float, float]
+    assert all(np.array_equal(col, a) for col, a in zip(zip(*got[:block]), first))
 
 
 def test_model_params_validation():

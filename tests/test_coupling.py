@@ -11,6 +11,7 @@ from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec, TorusGeomet
                       uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
                       field_from_initial, solve)
 from epichaos.core import TWO_PI, event_draws
+from epichaos.coupling import b_shortcut
 
 SIDE = 1.0
 
@@ -51,7 +52,8 @@ def coupled_infection_event(state, params, oracle, i, partner, u):
 
     The a-attempt fires iff the partner is a-infected and in range; the
     b-attempt reuses the partner check and the uniform u through
-    ``b_attempt``.  Attempts flip S to I on their own label only.
+    ``b_attempt``.  Attempts flip S to I on their own label only.  Returns
+    (partner check, b fired) where agent i was b-susceptible, else None.
     """
     state.counters.infection_proposals += 1
     within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
@@ -65,9 +67,12 @@ def coupled_infection_event(state, params, oracle, i, partner, u):
             and state.a[i] == Label.S):
         state.a[i] = Label.I
         state.counters.infections += 1
-    if b_attempt(p, q, partner_b, u) and state.b[i] == Label.S:
+    if state.b[i] != Label.S:
+        return None
+    fired = b_attempt(p, q, partner_b, u)
+    if fired:
         state.b[i] = Label.I
-    return state
+    return partner_b, fired
 
 
 def test_coupled_recovery_cases():
@@ -264,8 +269,11 @@ def test_duplicate_sample_times_give_one_row_each():
 def synchronous_reference(initial, params, oracle, t_max, seed):
     """The paired process the plain way: every position moves on every
     event, and jumps go through the scalar rules.  Consumes the same
-    ``event_draws`` stream as ``run_coupled``."""
+    ``event_draws`` stream as ``run_coupled``.  Returns the final state
+    and the b-attempt channel counts."""
     state = initial.copy()
+    tally = dict.fromkeys(("b_proposals", "partner_fires", "residual_fires",
+                           "thinned"), 0)
     n = state.n
     rate = n * (1.0 + params.recovery_rate + params.infection_rate)
     draws = event_draws(seed.rng(), n, rate, t_max)
@@ -275,8 +283,7 @@ def synchronous_reference(initial, params, oracle, t_max, seed):
                        params.side)
         state.t = t_to
 
-    while True:
-        e, cat, i, partner, acc, ang = draws.next_event()
+    for e, cat, i, partner, acc, ang in draws:
         t_next = state.t + e / rate
         if t_next >= t_max:
             break
@@ -288,9 +295,16 @@ def synchronous_reference(initial, params, oracle, t_max, seed):
         elif u < n * (1.0 + params.recovery_rate):
             coupled_recovery(state, i)
         else:
-            coupled_infection_event(state, params, oracle, i, partner, acc)
+            b_side = coupled_infection_event(state, params, oracle, i, partner, acc)
+            if b_side is not None:
+                partner_b, fired = b_side
+                tally["b_proposals"] += 1
+                if fired:
+                    tally["partner_fires" if partner_b else "residual_fires"] += 1
+                elif partner_b:
+                    tally["thinned"] += 1
     move(t_max)
-    return state
+    return state, tally
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +328,7 @@ def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
         state = sample_coupled_initial(ic, n, seed.child(0).rng())
         fast = run_coupled(state, params, solved_oracle, 1.5, [0.0, 1.5],
                            seed.child(1)).final
-        ref = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
+        ref, _ = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
         assert np.array_equal(fast.a, ref.a), s
         assert np.array_equal(fast.b, ref.b), s
         assert fast.counters == ref.counters, s
@@ -359,6 +373,73 @@ def test_b_attempt_is_a_maximal_coupling(p, q):
     assert p * fire_on + (1.0 - p) * fire_off == pytest.approx(q, abs=1e-4)
     # the attempt agrees with the partner check as often as possible
     assert p * fire_on == pytest.approx(min(p, q), abs=1e-4)
+
+
+def settle(p, q, partner_b, u, q_cap):
+    """The b decision as ``run_coupled`` takes it: the cap, the shortcut,
+    then ``b_attempt``."""
+    if not partner_b and u >= q_cap:
+        return False
+    fire = b_shortcut(partner_b, u, q)
+    return b_attempt(p, q, partner_b, u) if fire is None else fire
+
+
+@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-3, 0.2, 0.5, 0.999, 1.0])
+def test_b_shortcut_agrees_with_b_attempt(q):
+    for q_cap in (q * (1.0 + 1e-9), 1.0 + 1e-9):
+        edges = [q, q * (1.0 + 1e-12), q_cap]
+        us = {u for e in edges
+              for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))
+              if 0.0 <= u < 1.0}
+        for p in (0.0, q, 1.0):
+            for partner_b in (False, True):
+                for u in us:
+                    assert settle(p, q, partner_b, u, q_cap) == \
+                        b_attempt(p, q, partner_b, u), (p, partner_b, u, q_cap)
+
+
+def test_b_shortcut_agrees_with_b_attempt_on_random_draws():
+    rng = np.random.default_rng(11)
+    for p, q, u in rng.random((20_000, 3)).tolist():
+        for partner_b in (False, True):
+            assert settle(p, q, partner_b, u, 1.0) == b_attempt(p, q, partner_b, u)
+
+
+def test_probe_cap_bounds_the_probe(solved_oracle):
+    rng = np.random.default_rng(12)
+    probe = solved_oracle.scalar_probe()
+    lo, hi = solved_oracle.span
+    xs = rng.random((10_000, 2)) * SIDE
+    ts = lo + rng.random(10_000) * (hi - lo)
+    qs = [probe(x, y, t) for (x, y), t in zip(xs.tolist(), ts.tolist())]
+    assert max(qs) <= solved_oracle.probe_cap
+    # records of one value everywhere: the weights' rounding is all that is left
+    flat = constant_oracle(SIDE, 0.3, 1.0)
+    probe = flat.scalar_probe()
+    assert max(probe(x, y, t) for (x, y), t in zip(xs.tolist(), ts.tolist())) \
+        <= flat.probe_cap
+
+
+def test_run_coupled_counts_each_b_channel(solved_oracle):
+    # the reference settles every b-attempt with p and q in hand, so it
+    # tells the channels apart on its own
+    n = 200
+    params = make_params(n, radius=0.2)
+    ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
+    totals = np.zeros(6, dtype=np.int64)
+    for s in range(5):
+        seed = SeedSpec(33).child(s)
+        state = sample_coupled_initial(ic, n, seed.child(0).rng())
+        ch = run_coupled(state, params, solved_oracle, 1.5, [0.0, 1.5],
+                         seed.child(1)).channels
+        _, tally = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
+        assert tally == {"b_proposals": ch.b_proposals, "partner_fires": ch.partner_fires,
+                         "residual_fires": ch.residual_fires, "thinned": ch.thinned}
+        assert ch.residual_fires + ch.thinned <= ch.scans <= ch.probes <= ch.b_proposals
+        totals += [ch.b_proposals, ch.probes, ch.scans, ch.partner_fires,
+                   ch.residual_fires, ch.thinned]
+    # the field and the agents differ enough here for every channel to occur
+    assert np.all(totals > 0), totals
 
 
 def test_marginal_consistency_reduced():
