@@ -8,7 +8,7 @@ from .core import (Label, ModelParams, SeedSpec, TorusGeometry, VELOCITY_JUMP_RA
                    in_range, torus_distance, unit_vector, wrap)
 from .initial import InitialCondition, InitialConditionError, uniform_sir
 from .particle import (ConfigError, Counters, EnsembleState, Trajectory, run,
-                       sample_initial, total_event_rate)
+                       sample_initial)
 from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
                       KineticField, field_from_initial, infection_intensity,
                       load_field, reaction_step, save_field, scattering_step,

@@ -312,8 +312,12 @@ def _solve_oracle(cfg: RunConfig, out: Path, files: list):
             os.replace(tmp, cache)
         finally:
             tmp.unlink(missing_ok=True)
+    # the field's contact rate runs over the lattice disc, not the true one
+    kernel = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius)
     solver = {"clamp_count": int(data["clamp_count"]),
-              "max_step_mass_drift": float(data["max_step_mass_drift"])}
+              "max_step_mass_drift": float(data["max_step_mass_drift"]),
+              "lattice_disc_area_ratio": float(kernel.mask.sum() * kernel.area
+                                               / (math.pi * cfg.model.radius ** 2))}
     return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side), solver
 
 

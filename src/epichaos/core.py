@@ -1,9 +1,13 @@
-"""Geometry, health labels, model parameters, and the seeded-stream contract.
+"""Geometry, health labels, model parameters, the seeded-stream contract and
+the label-free motion pass.
 
 Shared foundation for every simulator in the package: the flat periodic
 square, unit-speed agents whose velocity is stored as an angle, the
 three-state health label with absorbing R, and a (master seed, stream key)
 scheme that hands out reproducible, statistically independent generators.
+Flights, recovery clocks and infection proposals never read a label, so
+``label_free_pass`` draws them up front for the three event loops, which
+then only resolve labels (``LabelTimes``).
 """
 
 import math
@@ -137,127 +141,190 @@ class SeedSpec:
         return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=self.key))
 
 
+#: Length of the time windows the label-free variates are drawn in.
+WINDOW = 1.0
+
+#: Proposals tested for range at once, which bounds the memory of the test.
+NEAR_CHUNK = 8192
+
+
 class BlockDraws:
-    """Pre-drawn random variates for an event loop, one block at a time.
+    """The label-free variates of a run of n agents on [t0, t_max), window
+    by window, at the rates of ``params``.
 
-    Each event consumes one slot from every array: a standard exponential
-    (holding time), a uniform (event category), two integers in [0, n)
-    (agent and partner), and two more uniforms (acceptance and new heading).
-    Drawing in blocks keeps the per-event cost small.  The variates are a
-    pure function of (generator, n, block): each refill draws a whole block
-    of exponentials before the uniforms, so the same generator read with a
-    different block size hands different values to the same event.
-    ``event_draws`` sizes the block from ``rate * t_max``, so one seed run
-    to a different horizon gives a different path, even on the shared
-    interval.
+    Window k covers [t0 + k WINDOW, t0 + (k + 1) WINDOW) and is drawn from
+    the generator in a fixed call order, kind by kind: the velocity jumps
+    (time, agent, heading) at ``VELOCITY_JUMP_RATE`` per agent, the
+    recovery ticks (time, agent) at ``recovery_rate`` per agent, and the
+    infection proposals (time, agent, partner, uniform u).  A kind is a
+    Poisson count, sorted uniform times, then its other columns.  Proposals
+    come at ``infection_rate * n`` with the partner drawn from all n agents,
+    or in the pair form at ``infection_rate * (n - 1) / 2`` with the partner
+    drawn among the other n - 1.  Events at or after t_max are dropped.
+    Windows are drawn in order, so no variate depends on t_max.
     """
 
-    SLICE = 2048
-
-    def __init__(self, rng: np.random.Generator, n: int, block: int = 4096):
-        self.rng = rng
-        self.n = int(n)
-        self.block = max(64, int(block))
-        self._refill()
-
-    def _refill(self):
-        b = self.block
-        self.expo = self.rng.standard_exponential(b)
-        self.cat = self.rng.random(b)
-        self.agent = self.rng.integers(0, self.n, size=b)
-        self.partner = self.rng.integers(0, self.n, size=b)
-        self.accept = self.rng.random(b)
-        self.angle = self.rng.random(b) * TWO_PI
-
-    def __iter__(self):
-        """Yield ``(expo, cat, agent, partner, accept, angle)`` slot by slot
-        as Python scalars, refilling after the last slot of each block.
-        The arrays are converted ``SLICE`` slots at a time: a scalar costs
-        less per event than a numpy element, and a slice costs less memory
-        than a whole block of Python objects."""
-        while True:
-            for s in range(0, self.block, self.SLICE):
-                k = slice(s, s + self.SLICE)
-                yield from zip(self.expo[k].tolist(), self.cat[k].tolist(),
-                               self.agent[k].tolist(), self.partner[k].tolist(),
-                               self.accept[k].tolist(), self.angle[k].tolist())
-            self._refill()
-
-
-def event_draws(rng: np.random.Generator, n: int, rate: float, duration: float) -> BlockDraws:
-    """The draws of one event-loop run: a block holding the expected number
-    of events, ``rate * duration``, plus six standard deviations and 64."""
-    expected = rate * max(duration, 0.0)
-    return BlockDraws(rng, n, block=int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64)
-
-
-class EventClock:
-    """The event clock and the lazy free flight shared by the exact
-    simulators.
-
-    Events come at the constant total ``rate``, each with one slot of
-    ``event_draws``.  The first ``n * VELOCITY_JUMP_RATE`` of ``rate`` on
-    the scaled category uniform are velocity jumps, which the clock applies
-    itself.  Flight is lazy: ``x0``, ``x1`` hold each agent's position at
-    its own ``mark`` time and ``cs``, ``sn`` its heading, so an event costs
-    O(1).  ``flush`` brings every agent forward and writes the positions
-    and the time into the state, which is any state with ``x``, ``theta``,
-    ``t`` and ``counters``.  Observations consume no variates, so the
-    sample times never change the path.
-    """
-
-    def __init__(self, state, side: float, rate: float, t_max: float,
-                 rng: np.random.Generator):
-        self.state, self.side, self.rate, self.t_max = state, side, rate, t_max
-        self.x0, self.x1 = state.x[:, 0].copy(), state.x[:, 1].copy()
-        self.cs, self.sn = np.cos(state.theta), np.sin(state.theta)
-        self.mark = np.full(state.theta.shape[0], state.t)
-        self.draws = event_draws(rng, state.theta.shape[0], rate, t_max - state.t)
-
-    def flush(self, t: float) -> None:
-        dt = t - self.mark
-        self.x0[:] = wrap(self.x0 + self.cs * dt, self.side)
-        self.x1[:] = wrap(self.x1 + self.sn * dt, self.side)
-        self.mark[:] = t
-        self.state.x[:, 0] = self.x0
-        self.state.x[:, 1] = self.x1
-        self.state.t = t
-
-    def events(self, sample_times, record):
-        """Run to ``t_max``, yielding every event that is not a velocity
-        jump as ``(t, u, i, j, acc)``: its time, the category uniform
-        scaled by ``rate``, the agent, the partner and the acceptance
-        uniform.  Before the first event past each sample time the clock
-        flushes to that time and calls ``record(t)``; at the end it flushes
-        to ``t_max``."""
-        x0, x1, cs, sn, mark = self.x0, self.x1, self.cs, self.sn, self.mark
-        theta, cnt, side = self.state.theta, self.state.counters, self.side
-        rate, t_max = self.rate, self.t_max
-        thr_vel = mark.shape[0] * VELOCITY_JUMP_RATE
+    def __init__(self, rng: np.random.Generator, n: int, params: ModelParams, t0: float,
+                 t_max: float, pair: bool = False):
+        rates = (n * VELOCITY_JUMP_RATE, n * params.recovery_rate,
+                 params.infection_rate * ((n - 1) / 2.0 if pair else n))
+        jumps, ticks, props = [], [], []
         k = 0
-        t = self.state.t
-        for e, cat, i, j, acc, ang in self.draws:
-            t_next = t + e / rate
-            while k < len(sample_times) and sample_times[k] <= min(t_next, t_max):
-                self.flush(sample_times[k])
-                record(sample_times[k])
-                k += 1
-            if t_next >= t_max:
+        while True:
+            start = t0 + k * WINDOW
+            # the other columns are i.i.d. and apart from the times, so
+            # sorting the times alone keeps the law
+            t = self._times(rng, start, rates[0])
+            jumps.append((t, rng.integers(0, n, t.size), rng.random(t.size) * TWO_PI))
+            t = self._times(rng, start, rates[1])
+            ticks.append((t, rng.integers(0, n, t.size)))
+            t = self._times(rng, start, rates[2])
+            agent = rng.integers(0, n, t.size)
+            partner = rng.integers(0, n - 1 if pair else n, t.size)
+            if pair:
+                partner += partner >= agent
+            props.append((t, agent, partner, rng.random(t.size)))
+            k += 1
+            if t0 + k * WINDOW >= t_max:
                 break
-            t = t_next
-            u = cat * rate
-            if u < thr_vel:
-                # the scalar form of ``wrap``
-                dt = t - mark[i]
-                v = (x0[i] + cs[i] * dt) % side
-                x0[i] = 0.0 if v >= side else v
-                v = (x1[i] + sn[i] * dt) % side
-                x1[i] = 0.0 if v >= side else v
-                mark[i] = t
-                theta[i] = ang
-                cs[i] = math.cos(ang)
-                sn[i] = math.sin(ang)
-                cnt.velocity_jumps += 1
-            else:
-                yield t, u, i, j, acc
-        self.flush(t_max)
+        self.jump_t, self.jump_agent, self.jump_theta = _join(jumps, t_max)
+        self.tick_t, self.tick_agent = _join(ticks, t_max)
+        self.prop_t, self.prop_agent, self.prop_partner, self.prop_u = _join(props, t_max)
+
+    @staticmethod
+    def _times(rng, start, rate):
+        """The sorted times of a Poisson process of the given rate on one window."""
+        return start + WINDOW * np.sort(rng.random(rng.poisson(rate * WINDOW)))
+
+
+def _join(windows, t_max):
+    """The windows of one kind in one set of arrays, cut before t_max."""
+    cols = [np.concatenate(c) if len(c) > 1 else c[0] for c in zip(*windows)]
+    if cols[0].size and cols[0][-1] >= t_max:
+        end = int(cols[0].searchsorted(t_max))
+        cols = [c[:end] for c in cols]
+    return cols
+
+
+class Path:
+    """Every agent's piecewise-linear flight and recovery clock on
+    [t0, t_max), built from the velocity jumps and recovery ticks of
+    ``draws``.
+
+    Segments and ticks are sorted by (agent, time), kept as the complex key
+    agent + 1j * time, which numpy sorts and searches in that lexicographic
+    order.  Agent a's segments start with its initial position and
+    heading; each later start position is the previous one advanced with
+    the ``wrap`` arithmetic.  Lookups take arrays of agents and times.
+    """
+
+    def __init__(self, x, theta, t0: float, side: float, draws: BlockDraws):
+        n = theta.shape[0]
+        self.n, self.t0, self.side = n, t0, side
+        self.jump_t = draws.jump_t
+        count = np.bincount(draws.jump_agent, minlength=n) + 1
+        head = np.cumsum(count) - count
+        by_agent = np.argsort(draws.jump_agent, kind="stable")
+        seg = np.arange(by_agent.size) + draws.jump_agent[by_agent] + 1
+        self.key = np.repeat(np.arange(n) + 1j * t0, count)
+        self.key[seg] = draws.jump_agent[by_agent] + 1j * draws.jump_t[by_agent]
+        self.theta = np.empty(self.key.size)
+        self.theta[seg] = draws.jump_theta[by_agent]
+        self.theta[head] = theta
+        self.x = np.empty((self.key.size, 2))
+        self.x[head] = x
+        t = self.key.imag
+        for k in range(1, int(count.max())):
+            cur = head[count > k] + k
+            self.x[cur] = self._advance(cur - 1, t[cur])
+        by_agent = np.argsort(draws.tick_agent, kind="stable")
+        # a sentinel agent n ends the last agent's ticks
+        self.tick_key = np.append(draws.tick_agent[by_agent] + 1j * draws.tick_t[by_agent], n)
+
+    def _advance(self, s, t):
+        """Positions at times t on segments s."""
+        th = self.theta[s]
+        dx = np.empty(th.shape + (2,))
+        np.cos(th, out=dx[..., 0])
+        np.sin(th, out=dx[..., 1])
+        dx *= (t - self.key.imag[s])[..., None]
+        dx += self.x[s]
+        return wrap(dx, self.side)
+
+    def segment(self, agents, t):
+        """Each agent's segment at time t: the last one starting by t."""
+        return self.key.searchsorted(agents + 1j * t, side="right") - 1
+
+    def positions(self, agents, t):
+        """Positions of the agents at times t, shape (..., 2)."""
+        return self._advance(self.segment(agents, t), t)
+
+    def state_at(self, s: float):
+        """Positions and headings of all agents at time s."""
+        seg = self.segment(np.arange(self.n), s)
+        return self._advance(seg, s), self.theta[seg]
+
+    def jumps_before(self, s: float) -> int:
+        return int(self.jump_t.searchsorted(s))
+
+    def near(self, agent, partner, t, radius: float):
+        """Per proposal: the partner is another agent, in range at time t."""
+        out = agent != partner
+        geom = TorusGeometry(self.side)
+        for s in range(0, t.size, NEAR_CHUNK):
+            k = slice(s, s + NEAR_CHUNK)
+            xi, xj = self.positions(np.stack([agent[k], partner[k]]), t[k])
+            out[k] &= in_range(xi, xj, radius, geom)
+        return out
+
+    def recovery_after(self, agents, t):
+        """Each agent's first recovery tick after time t, or inf."""
+        k = self.tick_key[self.tick_key.searchsorted(agents + 1j * t, side="right")]
+        return np.where(k.real == agents, k.imag, np.inf)
+
+
+def label_free_pass(x, theta, t0: float, t_max: float, params: ModelParams,
+                    rng: np.random.Generator, pair: bool = False):
+    """Draw a run's label-free variates and build its paths.
+
+    Returns the ``Path`` and the proposals (time, agent, partner, u) in time
+    order.  The jump arrays are dropped once the paths hold them.
+    """
+    draws = BlockDraws(rng, theta.shape[0], params, t0, t_max, pair)
+    return (Path(x, theta, t0, params.side, draws),
+            (draws.prop_t, draws.prop_agent, draws.prop_partner, draws.prop_u))
+
+
+class LabelTimes:
+    """One label system as two times per agent: infection and recovery.
+
+    An initially S agent has both at +inf until ``infect``; an initially I
+    agent was infected at -inf and recovers at its first tick; an initially
+    R agent has both at -inf.  An agent infected at t recovers at its first
+    recovery tick after t, so every label system on one ``Path`` shares its
+    recovery clocks.  The label at time s is that after every event before s.
+    """
+
+    def __init__(self, labels, path: Path):
+        self.path = path
+        susceptible = labels == Label.S.value
+        self.inf = np.where(susceptible, np.inf, -np.inf)
+        self.rec = np.where(labels == Label.R.value, -np.inf, np.inf)
+        ill = np.flatnonzero(labels == Label.I.value)
+        self.rec[ill] = path.recovery_after(ill, path.t0)
+        self.ill0 = self.inf.size - int(np.count_nonzero(susceptible))
+        self.gone0 = self.ill0 - ill.size
+
+    def infect(self, agents, t) -> None:
+        self.inf[agents] = t
+        self.rec[agents] = self.path.recovery_after(agents, t)
+
+    def at(self, s: float) -> np.ndarray:
+        # S, I, R = 0, 1, 2 is the number of the two events before s
+        return (self.inf < s).view(np.int8) + (self.rec < s).view(np.int8)
+
+    def infected_before(self, s: float) -> int:
+        return int(np.count_nonzero(self.inf < s)) - self.ill0
+
+    def recovered_before(self, s: float) -> int:
+        return int(np.count_nonzero(self.rec < s)) - self.gone0

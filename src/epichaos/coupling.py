@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EventClock, Label, ModelParams, SeedSpec, wrap
+from .core import (LabelTimes, ModelParams, SeedSpec, TorusGeometry, in_range,
+                   label_free_pass, wrap)
 from .initial import InitialCondition
 from .meanfield import FieldOracle, OracleSpanError
-from .particle import ConfigError, Counters, check_sample_times
+from .particle import ConfigError, Counters, check_sample_times, counters_at
 
 
 @dataclass
@@ -141,13 +142,14 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                 observer=None) -> CoupledTrajectory:
     """Event-driven run of the paired process.
 
-    Motion, velocity jumps and observations are the shared ``EventClock``.
-    Recoveries are shared too, and infection proposals arrive at the
-    majorant rate per agent for the maximal-coupling resolution.  A
-    proposal reads a label system only where agent i is susceptible.  The
-    b-attempt looks up q only where the partner check and u do not settle
-    it against the largest record value, and counts p, scanning the
-    b-infected agents only, where q does not settle it either.
+    Flight, recovery clocks and proposals are the label-free pass of the
+    per-agent form, so the a-labels are those of ``run`` on the same seed.
+    This loop visits, in time order, only the proposals whose partner is
+    in range or whose u is below ``oracle.probe_cap``: no other proposal
+    can flip a label.  A proposal reads a label system only where agent i
+    is susceptible.  The b-attempt looks up q only where the partner check
+    and u do not settle it against the largest record value, and counts p
+    over the b-infected agents only where q does not settle it either.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -156,117 +158,74 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     if lo > 1e-9 or hi < t_max - 1e-9:
         raise OracleSpanError(f"oracle span [{lo}, {hi}] does not cover [0, {t_max}]")
     rng = seed.rng() if isinstance(seed, SeedSpec) else seed
-    state = initial.copy()
-    n = state.n
-    side = params.side
-    r2 = params.radius * params.radius
-    rate = n * (1.0 + params.recovery_rate + params.infection_rate)
-    thr_rec = n * 1.0 + n * params.recovery_rate
-    clock = EventClock(state, side, rate, t_max, rng)
-    x0, x1, cs, sn, mark = clock.x0, clock.x1, clock.cs, clock.sn, clock.mark
-
-    a, b = state.a, state.b
-    cnt = state.counters
-    lab_s, lab_i = int(Label.S), int(Label.I)
-    probe = oracle.scalar_probe()
+    n = initial.n
+    path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
+                                             params, rng)
+    a, b = LabelTimes(initial.a, path), LabelTimes(initial.b, path)
+    geom = TorusGeometry(params.side)
+    near = path.near(pa, pp, pt, params.radius)
     q_cap = oracle.probe_cap
-    b_prop = n_probe = n_scan = partner_fires = residual_fires = thinned = 0
+    visit = np.flatnonzero(near | (pu < q_cap))
+    xi = path.positions(pa[visit], pt[visit])
+    probe = oracle.scalar_probe()
+    n_probe = n_scan = partner_fires = residual_fires = thinned = 0
 
-    # b-infected agents: binf[:nb] in any order, slot[j] = position of j
-    binf = np.empty(n, dtype=np.intp)
-    slot = np.empty(n, dtype=np.intp)
-    nb = int(np.count_nonzero(b == lab_i))
-    binf[:nb] = np.flatnonzero(b == lab_i)
-    slot[binf[:nb]] = np.arange(nb)
+    for t, i, j, u, close, x, y in zip(pt[visit].tolist(), pa[visit].tolist(),
+                                      pp[visit].tolist(), pu[visit].tolist(),
+                                      near[visit].tolist(), xi[:, 0].tolist(),
+                                      xi[:, 1].tolist()):
+        a_s = a.inf[i] >= t
+        b_s = b.inf[i] >= t
+        if a_s and close and a.inf[j] < t <= a.rec[j]:
+            a.infect(i, t)
+        if not b_s:
+            continue
+        # without the partner check, u >= q_cap settles the b-attempt before
+        # q is looked up; b_shortcut settles most of the rest before p is
+        # counted
+        pb = close and b.inf[j] < t <= b.rec[j]
+        if not pb and u >= q_cap:
+            continue
+        q = probe(x, y, t)
+        n_probe += 1
+        fire = b_shortcut(pb, u, q)
+        if fire is None:
+            n_scan += 1
+            ill = np.flatnonzero((b.inf < t) & (t <= b.rec))
+            p = np.count_nonzero(in_range(path.positions(ill, t), (x, y),
+                                          params.radius, geom)) / n
+            fire = b_attempt(p, q, pb, u)
+        if not fire:
+            if pb:
+                thinned += 1
+            continue
+        if pb:
+            partner_fires += 1
+        else:
+            residual_fires += 1
+        b.infect(i, t)
+
+    def state_at(s):
+        cnt = counters_at(path, pt, a, s)
+        # a recovery tick at which both labels recovered counts once
+        cnt.recoveries += b.recovered_before(s) - int(np.count_nonzero(
+            (a.rec == b.rec) & (a.rec >= path.t0) & (a.rec < s)))
+        return CoupledEnsemble(*path.state_at(s), a.at(s), b.at(s), s, cnt)
 
     times, mism, rows_a, rows_b, extras = [], [], [], [], []
-
-    def record(t_s):
-        times.append(t_s)
-        mism.append(mismatch_fraction(state))
-        rows_a.append(state.counts_a())
-        rows_b.append(state.counts_b())
+    for s in st:
+        la, lb = a.at(s), b.at(s)
+        times.append(s)
+        mism.append(float(np.mean(la != lb)))
+        rows_a.append(np.bincount(la, minlength=3))
+        rows_b.append(np.bincount(lb, minlength=3))
         if observer is not None:
-            extras.append(observer(state))
-
-    for t, u, i, partner, acc in clock.events(st, record):
-        if u < thr_rec:
-            ai_inf = a[i] == lab_i
-            bi_inf = b[i] == lab_i
-            if ai_inf:
-                a[i] = Label.R
-            if bi_inf:
-                b[i] = Label.R
-                nb -= 1
-                last = binf[nb]
-                binf[slot[i]] = last
-                slot[last] = slot[i]
-            if ai_inf or bi_inf:
-                cnt.recoveries += 1
-        else:
-            cnt.infection_proposals += 1
-            a_s = a[i] == lab_s
-            b_s = b[i] == lab_s
-            if not (a_s or b_s):
-                continue
-            dt = t - mark[i]
-            xi0 = (x0[i] + cs[i] * dt) % side
-            xi1 = (x1[i] + sn[i] * dt) % side
-            a_src = a_s and a[partner] == lab_i
-            b_src = b_s and b[partner] == lab_i
-            near = False
-            if partner != i and (a_src or b_src):
-                dt = t - mark[partner]
-                dx = abs(x0[partner] + cs[partner] * dt - xi0) % side
-                dy = abs(x1[partner] + sn[partner] * dt - xi1) % side
-                dx = min(dx, side - dx)
-                dy = min(dy, side - dy)
-                near = dx * dx + dy * dy < r2
-            if a_src and near:
-                a[i] = Label.I
-                cnt.infections += 1
-            if not b_s:
-                continue
-            # without the partner check, u >= q_cap settles the b-attempt
-            # before q is looked up; b_shortcut settles most of the rest
-            # before p is counted
-            b_prop += 1
-            pb = b_src and near
-            if not pb and acc >= q_cap:
-                continue
-            q = probe(xi0, xi1, t)
-            n_probe += 1
-            fire = b_shortcut(pb, acc, q)
-            if fire is None:
-                n_scan += 1
-                j = binf[:nb]
-                dt = t - mark[j]
-                dx = np.abs(x0[j] + cs[j] * dt - xi0)
-                np.mod(dx, side, out=dx)
-                np.minimum(dx, side - dx, out=dx)
-                dy = np.abs(x1[j] + sn[j] * dt - xi1)
-                np.mod(dy, side, out=dy)
-                np.minimum(dy, side - dy, out=dy)
-                dx *= dx
-                dy *= dy
-                dx += dy
-                fire = b_attempt(np.count_nonzero(dx < r2) / n, q, pb, acc)
-            if not fire:
-                if pb:
-                    thinned += 1
-                continue
-            if pb:
-                partner_fires += 1
-            else:
-                residual_fires += 1
-            b[i] = Label.I
-            binf[nb] = i
-            slot[i] = nb
-            nb += 1
-
-    return CoupledTrajectory(np.asarray(times), np.asarray(mism),
+            extras.append(observer(state_at(s)))
+    # a proposal reached a b-susceptible agent up to and at its b infection
+    b_prop = int(np.count_nonzero(b.inf[pa] >= pt))
+    return CoupledTrajectory(np.asarray(times, dtype=float), np.asarray(mism),
                              np.asarray(rows_a, dtype=np.int64).reshape(-1, 3),
                              np.asarray(rows_b, dtype=np.int64).reshape(-1, 3),
-                             extras, state,
+                             extras, state_at(t_max),
                              Channels(b_prop, n_probe, n_scan, partner_fires,
                                       residual_fires, thinned))

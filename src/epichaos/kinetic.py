@@ -300,13 +300,13 @@ def _reaction_half(fld: KineticField, params: ModelParams, kernel: DiscKernel,
 
 
 def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: float,
-          snapshot_times=(), nf_stride: int = 10, reactions: bool = True) -> FieldTrajectory:
+          snapshot_times=(), nf_stride: int = 10) -> FieldTrajectory:
     """Integrate to t_max with Strang splitting on the grid's dt.
 
     Snapshot times must sit on the step grid.  ``nf_stride`` controls how
-    densely the intensity record is sampled (every that many steps);
-    ``reactions=False`` integrates the pure transport-scattering flow,
-    which the label-summed full solution must match.
+    densely the intensity record is sampled (every that many steps).  With
+    zero infection and recovery rates the reaction steps are exact
+    identities, so the solve is the pure transport-scattering flow.
     """
     if initial.m != grid.m or initial.k != grid.k or initial.side != grid.side:
         raise GridError("initial field does not match the grid spec")
@@ -341,13 +341,11 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
 
     record(0)
     for s in range(1, n_steps + 1):
-        if reactions:
-            fld = _reaction_half(fld, params, kernel, half, adjoint=False)
+        fld = _reaction_half(fld, params, kernel, half, adjoint=False)
         fld = scattering_step(fld, half)
         fld = transport_step(fld, dt)
         fld = scattering_step(fld, half)
-        if reactions:
-            fld = _reaction_half(fld, params, kernel, half, adjoint=True)
+        fld = _reaction_half(fld, params, kernel, half, adjoint=True)
         fld.t = initial.t + s * dt
         record(s)
 

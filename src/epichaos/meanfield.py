@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TWO_PI, Label, ModelParams, SeedSpec, VELOCITY_JUMP_RATE,
-                   wrap)
+from .core import Label, LabelTimes, ModelParams, SeedSpec, label_free_pass, wrap
 from .initial import InitialCondition
 from .kinetic import FieldTrajectory
-from .particle import ConfigError, Counters, EnsembleState, Trajectory, check_sample_times
+from .particle import (ConfigError, EnsembleState, Trajectory, check_sample_times,
+                       counters_at)
 
 
 class OracleSpanError(ValueError):
@@ -170,10 +170,12 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
                  observer=None) -> Trajectory:
     """Simulate n independent copies of the one-particle process.
 
-    Vectorized over agents: each round handles, for every agent whose next
-    event falls inside the current observation segment, exactly that
-    agent's own next event.  Independence is structural; no update ever
-    reads another agent's row.
+    Flight, recovery clocks and proposals are the label-free pass of the
+    per-agent form; partners go unread.  A proposal to an initially
+    susceptible agent is accepted when its u is below the field intensity
+    at the agent's position, looked up in one batch for every u below
+    ``oracle.probe_cap``; an agent's infection time is its first accepted
+    proposal.  No agent reads another agent's row.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
@@ -187,68 +189,20 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
     else:
         rng_init = rng_dyn = seed
     x, theta, labels = ic.sample(n, rng_init)
-    x = wrap(x, params.side)
-    cs, sn = np.cos(theta), np.sin(theta)
-    mu = VELOCITY_JUMP_RATE + params.recovery_rate + params.infection_rate
-    t_cur = np.zeros(n)
-    t_next = rng_dyn.exponential(1.0 / mu, size=n)
-    cnt = Counters()
+    path, (pt, pa, _, pu) = label_free_pass(wrap(x, params.side), theta, 0.0, t_max,
+                                            params, rng_dyn)
+    lab = LabelTimes(labels, path)
+    k = np.flatnonzero((pu < oracle.probe_cap) & (labels[pa] == Label.S))
+    k = k[pu[k] < oracle.nf_at(path.positions(pa[k], pt[k]), pt[k])]
+    # proposals are in time order, so the first index of an agent is its first
+    agents, first = np.unique(pa[k], return_index=True)
+    lab.infect(agents, pt[k[first]])
 
-    times, rows, extras = [], [], []
+    def state_at(s):
+        return EnsembleState(*path.state_at(s), lab.at(s), s,
+                             counters_at(path, pt, lab, s))
 
-    def record(t_s):
-        c = np.bincount(labels, minlength=3)
-        times.append(t_s)
-        rows.append((int(c[0]), int(c[1]), int(c[2])))
-        if observer is not None:
-            state = EnsembleState(x.copy(), theta.copy(), labels.copy(), t_s, cnt.copy())
-            extras.append(observer(state))
-
-    # one segment per requested time, then the tail to t_max
-    for k, t_end in enumerate([*st, t_max]):
-        while True:
-            active = t_next < t_end
-            if not active.any():
-                break
-            idx = np.flatnonzero(active)
-            tn = t_next[idx]
-            dt = tn - t_cur[idx]
-            x[idx, 0] = wrap(x[idx, 0] + cs[idx] * dt, params.side)
-            x[idx, 1] = wrap(x[idx, 1] + sn[idx] * dt, params.side)
-            t_cur[idx] = tn
-            u = rng_dyn.random(idx.size) * mu
-            vel = u < VELOCITY_JUMP_RATE
-            rec = (~vel) & (u < VELOCITY_JUMP_RATE + params.recovery_rate)
-            prop = ~(vel | rec)
-            vi = idx[vel]
-            if vi.size:
-                ang = rng_dyn.random(vi.size) * TWO_PI
-                theta[vi] = ang
-                cs[vi] = np.cos(ang)
-                sn[vi] = np.sin(ang)
-                cnt.velocity_jumps += int(vi.size)
-            ri = idx[rec]
-            if ri.size:
-                hit = ri[labels[ri] == Label.I]
-                labels[hit] = Label.R
-                cnt.recoveries += int(hit.size)
-            pi = idx[prop]
-            if pi.size:
-                q = oracle.nf_at(x[pi], t_cur[pi])
-                assert np.all(q <= 1.0)
-                acc = rng_dyn.random(pi.size) < q
-                flip = pi[acc & (labels[pi] == Label.S)]
-                labels[flip] = Label.I
-                cnt.infection_proposals += int(pi.size)
-                cnt.infections += int(flip.size)
-            t_next[idx] = tn + rng_dyn.exponential(1.0 / mu, size=idx.size)
-        dt = t_end - t_cur
-        x[:, 0] = wrap(x[:, 0] + cs * dt, params.side)
-        x[:, 1] = wrap(x[:, 1] + sn * dt, params.side)
-        t_cur[:] = t_end
-        if k < len(st):
-            record(t_end)
-
-    final = EnsembleState(x, theta, labels, t_max, cnt)
-    return Trajectory(np.asarray(times), np.asarray(rows, dtype=np.int64).reshape(-1, 3),
-                      extras, final)
+    extras = [observer(state_at(s)) for s in st] if observer is not None else []
+    counts = [np.bincount(lab.at(s), minlength=3) for s in st]
+    return Trajectory(st.copy(), np.asarray(counts, dtype=np.int64).reshape(-1, 3),
+                      extras, state_at(t_max))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EventClock, Label, ModelParams, SeedSpec, wrap
+from .core import LabelTimes, ModelParams, Path, SeedSpec, label_free_pass, wrap
 from .initial import InitialCondition
 
 
@@ -67,21 +67,6 @@ class EnsembleState:
                              self.t, self.counters.copy())
 
 
-def total_event_rate(params: ModelParams, interaction: str = "pair") -> float:
-    """Total constant jump rate of the event-driven scheme.
-
-    Pair form: n + n*recovery_rate + infection_rate*(n-1)/2.
-    Per-agent form: n * (1 + recovery_rate + infection_rate).
-    """
-    n = params.n
-    base = n * 1.0 + n * params.recovery_rate
-    if interaction == "pair":
-        return base + params.infection_rate * (n - 1) / 2.0
-    if interaction == "per_agent":
-        return base + params.infection_rate * n
-    raise ConfigError(f"unknown interaction scheme {interaction!r}")
-
-
 def sample_initial(ic: InitialCondition, n: int, rng: np.random.Generator) -> EnsembleState:
     """n i.i.d. agents drawn from the initial one-particle density."""
     x, theta, labels = ic.sample(n, rng)
@@ -105,11 +90,17 @@ def check_sample_times(sample_times, t_max: float) -> np.ndarray:
     st = np.asarray(sample_times, dtype=float)
     if st.ndim != 1:
         raise ConfigError("sample times must be a 1-d sequence")
-    if np.any(st < 0) or np.any(st > t_max):
-        raise ConfigError(f"sample times must lie in [0, {t_max}]")
     if np.any(np.diff(st) < 0):
         raise ConfigError("sample times must be sorted")
+    if st.size and (st[0] < 0 or st[-1] > t_max):
+        raise ConfigError(f"sample times must lie in [0, {t_max}]")
     return st
+
+
+def counters_at(path: Path, prop_t, labels: LabelTimes, s: float) -> Counters:
+    """The event counts of a run before time s."""
+    return Counters(path.jumps_before(s), labels.recovered_before(s),
+                    int(prop_t.searchsorted(s)), labels.infected_before(s))
 
 
 def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
@@ -117,67 +108,36 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
         observer=None) -> Trajectory:
     """Event-driven run to time t_max with observations at the sample times.
 
-    Motion, velocity jumps and observations are the shared ``EventClock``;
-    this loop resolves recoveries and infection proposals.  Identical
-    initial state, parameters and seed give a bit-identical trajectory.
+    Flight, recovery clocks and proposals are the label-free pass; this loop
+    resolves, in time order, only the proposals whose partner is another
+    agent in range.  Identical initial state, parameters and seed give a
+    bit-identical trajectory, and the path on [0, s] is the same for every
+    t_max >= s.
     """
     if t_max < 0:
         raise ConfigError("t_max must be nonnegative")
+    if interaction not in ("pair", "per_agent"):
+        raise ConfigError(f"unknown interaction scheme {interaction!r}")
     st = check_sample_times(sample_times, t_max)
     rng = seed.rng() if isinstance(seed, SeedSpec) else seed
-    state = initial.copy()
-    n = state.n
-    side = params.side
-    r2 = params.radius * params.radius
-    rate = total_event_rate(params, interaction)
-    per_agent = interaction == "per_agent"
-    clock = EventClock(state, side, rate, t_max, rng)
-    x0, x1, cs, sn, mark = clock.x0, clock.x1, clock.cs, clock.sn, clock.mark
-    labels = state.labels
-    cnt = state.counters
-    n_s, n_i, n_r = state.counts()
-    thr_rec = n * 1.0 + n * params.recovery_rate
+    pair = interaction == "pair"
+    path, (pt, pa, pp, _) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
+                                            params, rng, pair)
+    lab = LabelTimes(initial.labels, path)
+    inf, rec = lab.inf, lab.rec
+    near = path.near(pa, pp, pt, params.radius)
+    for t, i, j in zip(pt[near].tolist(), pa[near].tolist(), pp[near].tolist()):
+        # the pair form orients the pair so i is the S member
+        if pair and inf[i] < t <= rec[i] and inf[j] >= t:
+            i, j = j, i
+        if inf[i] >= t and inf[j] < t <= rec[j]:
+            lab.infect(i, t)
 
-    times, rows, extras = [], [], []
+    def state_at(s):
+        x, theta = path.state_at(s)
+        return EnsembleState(x, theta, lab.at(s), s, counters_at(path, pt, lab, s))
 
-    def record(t_s):
-        times.append(t_s)
-        rows.append((n_s, n_i, n_r))
-        if observer is not None:
-            extras.append(observer(state))
-
-    for t, u, i, j, acc in clock.events(st, record):
-        if u < thr_rec:
-            if labels[i] == Label.I:
-                labels[i] = Label.R
-                cnt.recoveries += 1
-                n_i -= 1
-                n_r += 1
-        else:
-            cnt.infection_proposals += 1
-            if per_agent:
-                tgt, src = i, j
-            else:
-                j = int(acc * (n - 1))
-                if j >= i:
-                    j += 1
-                # symmetric rule: orient the pair so tgt is the S member
-                if labels[i] == Label.I and labels[j] == Label.S:
-                    tgt, src = j, i
-                else:
-                    tgt, src = i, j
-            if tgt != src and labels[tgt] == Label.S and labels[src] == Label.I:
-                dxa = abs((x0[tgt] + cs[tgt] * (t - mark[tgt]))
-                          - (x0[src] + cs[src] * (t - mark[src]))) % side
-                dya = abs((x1[tgt] + sn[tgt] * (t - mark[tgt]))
-                          - (x1[src] + sn[src] * (t - mark[src]))) % side
-                dxa = min(dxa, side - dxa)
-                dya = min(dya, side - dya)
-                if dxa * dxa + dya * dya < r2:
-                    labels[tgt] = Label.I
-                    cnt.infections += 1
-                    n_s -= 1
-                    n_i += 1
-
-    return Trajectory(np.asarray(times), np.asarray(rows, dtype=np.int64).reshape(-1, 3),
-                      extras, state)
+    extras = [observer(state_at(s)) for s in st] if observer is not None else []
+    counts = [np.bincount(lab.at(s), minlength=3) for s in st]
+    return Trajectory(st.copy(), np.asarray(counts, dtype=np.int64).reshape(-1, 3),
+                      extras, state_at(t_max))

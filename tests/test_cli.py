@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from epichaos import ConfigError, field_from_initial, solve
+from epichaos import ConfigError, DiscKernel, field_from_initial, solve
 from epichaos.cli import fit_loglog_slope, main, parse_config
 
 MINIMAL = """
@@ -149,12 +150,16 @@ def test_kinetic_experiment_writes_snapshots(tmp_path):
 
 def test_study_experiment_fits_slope(tmp_path):
     cfg_path = tmp_path / "c.ini"
+    # lambda = 4 and r0 = 0.2: a replica at n = 30 has a mismatch by t = 0.25
+    # with probability about 0.35, so both times get a mean above 0
     cfg_path.write_text(FULL.replace("replicas = 3", "replicas = 40")
+                        .replace("lambda = 1.0", "lambda = 4.0").replace("r0 = 0.1", "r0 = 0.2")
                         + "n_values = 30 60\n")
     assert main(["study", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 0
     lines = (tmp_path / "o" / "slope.csv").read_text().splitlines()
     assert lines[0] == "time,slope,stderr,ci95_lo,ci95_hi"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.5"]
     assert (tmp_path / "o" / "plot.gp").exists()
 
 
@@ -196,8 +201,12 @@ def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path, monkey
     cfg = parse_config(text, kind)
     traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max,
                  nf_stride=cfg.nf_stride)
+    disc = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius).mask.sum()
     want = {"clamp_count": traj.clamp_count,
-            "max_step_mass_drift": float(np.abs(np.diff(traj.masses.sum(axis=1))).max())}
+            "max_step_mass_drift": float(np.abs(np.diff(traj.masses.sum(axis=1))).max()),
+            "lattice_disc_area_ratio": pytest.approx(
+                disc * (cfg.grid.side / cfg.grid.m) ** 2 / (math.pi * cfg.model.radius ** 2),
+                rel=1e-14)}
     out = tmp_path / "o"
     argv = [kind, "--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 0
@@ -207,6 +216,21 @@ def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path, monkey
     assert main(argv) == 0
     hit = json.loads((out / "manifest.json").read_text())["solver"]
     assert miss == hit == want
+
+
+@pytest.mark.parametrize("kind", ["meanfield", "couple", "study"])
+def test_manifest_reports_lattice_disc_area_ratio(kind, tmp_path):
+    # the acceptance grid: 37 cells of area 1/1024 against pi r0^2 = 0.01 pi
+    text = FULL.replace("m = 8", "m = 32") + ("n_values = 20 40\n" if kind == "study" else "")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 0
+    ratio = json.loads((out / "manifest.json").read_text())["solver"]["lattice_disc_area_ratio"]
+    assert ratio == pytest.approx(37 / 1024 / (0.01 * math.pi), rel=1e-12)
+    assert round(ratio, 4) == 1.1501
+    for csv in out.glob("*.csv"):
+        assert "lattice" not in csv.read_text()
 
 
 def test_couple_manifest_reports_b_channel_counts(tmp_path):

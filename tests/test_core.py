@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from scipy import stats
 
 from epichaos import (EnsembleState, ModelParams, SeedSpec, TorusGeometry, in_range,
                       run, torus_distance, unit_vector, wrap)
-from epichaos.core import BlockDraws, TWO_PI
+from epichaos.core import WINDOW, BlockDraws, TWO_PI
 
 GEOM = TorusGeometry(1.0)
 
@@ -56,8 +55,10 @@ def test_advance_free_examples():
     # flight wrapped onto the torus
     state = EnsembleState(np.array([[0.5, 0.5], [0.9, 0.5]]), np.zeros(2),
                           np.zeros(2, dtype=np.int8))
-    traj = run(state, flight_params(2), 0.2, [0.2], SeedSpec(0))
-    assert traj.final.counters.velocity_jumps == 0
+    # the first seed whose run has no velocity jump (each does with p = 0.67)
+    traj = next(tr for tr in (run(state, flight_params(2), 0.2, [0.2], SeedSpec(0, (r,)))
+                              for r in range(50))
+                if tr.final.counters.velocity_jumps == 0)
     assert traj.final.x == pytest.approx(np.array([[0.7, 0.5], [0.1, 0.5]]))
     still = run(state, flight_params(2), 0.0, [0.0], SeedSpec(0)).final
     assert np.array_equal(still.x, state.x) and np.array_equal(still.theta, state.theta)
@@ -95,16 +96,21 @@ def test_wrap_idempotent_and_edge():
     assert wrap(0.3, 1.0) == 0.3
 
 
+def headings(seed, n):
+    # new headings are the heading column of the velocity jumps
+    params = ModelParams(n=n, side=1.0, radius=0.1, infection_rate=0.0, recovery_rate=0.0)
+    return BlockDraws(SeedSpec(seed).rng(), n, params, 0.0, WINDOW).jump_theta
+
+
 def test_sample_velocity_symmetry():
-    # new headings come from the angle slots of the pre-drawn blocks
-    th = BlockDraws(SeedSpec(5).rng(), n=10, block=200_000).angle
+    th = headings(5, 200_000)
     assert np.all(th >= 0) and np.all(th < TWO_PI)
     assert abs(np.mean(np.cos(th))) < 4 / math.sqrt(th.size)
     assert abs(np.mean(np.sin(th))) < 4 / math.sqrt(th.size)
 
 
 def test_sample_velocity_chi_square():
-    th = BlockDraws(SeedSpec(6).rng(), n=10, block=500_000).angle
+    th = headings(6, 500_000)
     hist = np.bincount((th / (TWO_PI / 36)).astype(int), minlength=36)
     chi2 = ((hist - th.size / 36) ** 2 / (th.size / 36)).sum()
     assert stats.chi2.sf(chi2, 35) > 0.001
@@ -121,40 +127,64 @@ def test_seedspec_reproducible_and_independent():
     assert SeedSpec(123).child(4, 7).key == (4, 7)
 
 
+def draw_params(n, lam=2.0, gamma=0.5):
+    return ModelParams(n=n, side=1.0, radius=0.1, infection_rate=lam, recovery_rate=gamma)
+
+
 def test_block_draws_matches_generator_order():
+    # one window, t0 = 0.5; per kind: a Poisson count, sorted uniform times,
+    # then the other columns in draw order
+    n, lam, gamma, t0 = 10, 2.0, 0.5, 0.5
     spec = SeedSpec(9, (1,))
-    draws = BlockDraws(spec.rng(), n=10, block=128)
-    rng = spec.rng()
-    expo = rng.standard_exponential(128)
-    cat = rng.random(128)
-    agent = rng.integers(0, 10, size=128)
-    partner = rng.integers(0, 10, size=128)
-    accept = rng.random(128)
-    angle = rng.random(128) * TWO_PI
-    for i, slot in zip(range(5), draws):
-        assert slot == (expo[i], cat[i], agent[i], partner[i], accept[i], angle[i])
+    for pair in (False, True):
+        draws = BlockDraws(spec.rng(), n, draw_params(n, lam, gamma), t0, t0 + WINDOW, pair)
+        rng = spec.rng()
+
+        def times(rate):
+            return np.sort(rng.random(rng.poisson(rate * WINDOW)))
+
+        t = times(n)
+        jump = (t, rng.integers(0, n, t.size), rng.random(t.size) * TWO_PI)
+        t = times(n * gamma)
+        tick = (t, rng.integers(0, n, t.size))
+        t = times(lam * ((n - 1) / 2 if pair else n))
+        agent = rng.integers(0, n, t.size)
+        partner = rng.integers(0, n - 1 if pair else n, t.size)
+        if pair:
+            partner += partner >= agent
+        prop = (t, agent, partner, rng.random(t.size))
+        got = ((draws.jump_t, draws.jump_agent, draws.jump_theta),
+               (draws.tick_t, draws.tick_agent),
+               (draws.prop_t, draws.prop_agent, draws.prop_partner, draws.prop_u))
+        for want, have in zip((jump, tick, prop), got):
+            assert want[0].size > 0
+            assert np.array_equal(have[0], t0 + WINDOW * want[0])
+            for w, h in zip(want[1:], have[1:]):
+                assert np.array_equal(h, w)
+        if pair:
+            assert np.all(draws.prop_partner != draws.prop_agent)
 
 
-def test_block_draws_reader_slices_and_refills():
-    # a block of 5000 slots is two whole slices and a short one; read it and
-    # the refill after it
-    block, n = 5000, 7
-    assert block % BlockDraws.SLICE
-    spec = SeedSpec(9, (2,))
-    rng = spec.rng()
-    want = []
-    for _ in range(2):
-        arrays = (rng.standard_exponential(block), rng.random(block),
-                  rng.integers(0, n, size=block), rng.integers(0, n, size=block),
-                  rng.random(block), rng.random(block) * TWO_PI)
-        want += zip(*(a.tolist() for a in arrays))
-    draws = BlockDraws(spec.rng(), n=n, block=block)
-    first = (draws.expo.copy(), draws.cat.copy(), draws.agent.copy(),
-             draws.partner.copy(), draws.accept.copy(), draws.angle.copy())
-    got = list(itertools.islice(draws, 2 * block))
-    assert got == want
-    assert [type(v) for v in got[-1]] == [float, float, int, int, float, float]
-    assert all(np.array_equal(col, a) for col, a in zip(zip(*got[:block]), first))
+def test_block_draws_windows_do_not_depend_on_the_horizon():
+    n, t0 = 20, 0.25
+    params = draw_params(n)
+    full = BlockDraws(SeedSpec(9, (2,)).rng(), n, params, t0, t0 + 3 * WINDOW)
+    columns = ("jump_t", "jump_agent", "jump_theta", "tick_t", "tick_agent",
+               "prop_t", "prop_agent", "prop_partner", "prop_u")
+    for t_max in (t0 + 0.4 * WINDOW, t0 + WINDOW, t0 + 2.5 * WINDOW):
+        cut = BlockDraws(SeedSpec(9, (2,)).rng(), n, params, t0, t_max)
+        for kind in ("jump", "tick", "prop"):
+            times = getattr(cut, kind + "_t")
+            assert times.size and np.all((times >= t0) & (times < t_max))
+            # every event lies in its window, in time order
+            assert np.all(np.diff(times) >= 0)
+        for name in columns:
+            # the events before t_max are those of the longer run
+            kept = getattr(full, name.split("_")[0] + "_t") < t_max
+            assert np.array_equal(getattr(cut, name), getattr(full, name)[kept]), name
+    # window k holds about rate * WINDOW events of each kind
+    assert np.all(np.diff(np.floor((full.jump_t - t0) / WINDOW)) >= 0)
+    assert abs(full.jump_t.size - 3 * n * WINDOW) < 5 * math.sqrt(3 * n * WINDOW)
 
 
 def test_model_params_validation():

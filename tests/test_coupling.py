@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (CoupledEnsemble, Label, ModelParams, SeedSpec, TorusGeometry,
-                      b_attempt, constant_oracle, in_range, mismatch_bound,
+from epichaos import (CoupledEnsemble, EnsembleState, Label, ModelParams, SeedSpec,
+                      TorusGeometry, b_attempt, constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_coupled_initial, sample_initial, torus_distance,
                       uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
                       field_from_initial, solve)
-from epichaos.core import TWO_PI, event_draws
+from epichaos.core import TWO_PI, BlockDraws
 from epichaos.coupling import b_shortcut
 
 SIDE = 1.0
@@ -222,31 +222,71 @@ def test_run_coupled_is_deterministic():
     assert a.final.counters == b.final.counters
 
 
-@pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled"])
+def run_loop(loop, t_max, times, observer=None):
+    """One of the four loops on a fixed start and seed (n = 60), with a
+    field spanning [0, 2]."""
+    n = 60
+    params = make_params(n, lam=3.0, radius=0.3)
+    ic = uniform_sir(SIDE, 0.8, 0.2, 0.0)
+    orc = constant_oracle(SIDE, 0.2, 2.0)
+    if loop == "ensemble":
+        return run_ensemble(n, ic, orc, params, t_max, times, SeedSpec(45),
+                            observer=observer)
+    if loop == "coupled":
+        state = sample_coupled_initial(ic, n, SeedSpec(46).rng())
+        return run_coupled(state, params, orc, t_max, times, SeedSpec(47),
+                           observer=observer)
+    state = sample_initial(ic, n, SeedSpec(46).rng())
+    return run(state, params, t_max, times, SeedSpec(47), interaction=loop,
+               observer=observer)
+
+
+def same_state(s, u):
+    labels = ("a", "b") if hasattr(s, "a") else ("labels",)
+    return (s.t == u.t and s.counters == u.counters and np.array_equal(s.x, u.x)
+            and np.array_equal(s.theta, u.theta)
+            and all(np.array_equal(getattr(s, k), getattr(u, k)) for k in labels))
+
+
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled", "ensemble"])
+def test_path_does_not_depend_on_the_horizon(loop):
+    short = run_loop(loop, 1.0, [0.5, 1.0])
+    long = run_loop(loop, 2.0, [0.5, 1.0, 2.0], observer=lambda s: s.copy())
+    assert long.final.counters.infections > short.final.counters.infections > 0
+    assert short.final.counters.recoveries > 0
+    assert same_state(short.final, long.extras[1])
+    count_rows = ("counts_a", "counts_b", "mismatch") if loop == "coupled" else ("counts",)
+    for rows in count_rows:
+        assert np.array_equal(getattr(short, rows), getattr(long, rows)[:2]), rows
+
+
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled", "ensemble"])
 def test_observations_consume_no_variates(loop):
-    # sampling more often flushes the flight more often, which moves the
-    # positions only by rounding; the events and their variates are the same
-    n = 80
-    params = make_params(n, lam=2.0)
+    # the sample times only choose where the path is read
+    one = run_loop(loop, 1.0, [1.0])
+    many = run_loop(loop, 1.0, np.linspace(0.0, 1.0, 11))
+    assert one.final.counters.infections > 0 and one.final.counters.recoveries > 0
+    assert same_state(one.final, many.final)
+
+
+def test_coupled_a_labels_are_those_of_run():
+    # run_coupled draws the per-agent form's variates and resolves its
+    # a-labels by run's rule
+    n = 100
+    params = make_params(n, lam=2.0, radius=0.15)
     ic = uniform_sir(SIDE, 0.8, 0.2, 0.0)
     orc = constant_oracle(SIDE, 0.1, 1.0)
-    finals = []
-    for times in ([1.0], np.linspace(0.0, 1.0, 11)):
-        if loop == "coupled":
-            state = sample_coupled_initial(ic, n, SeedSpec(40).rng())
-            final = run_coupled(state, params, orc, 1.0, times, SeedSpec(41)).final
-            labels = np.concatenate([final.a, final.b])
-        else:
-            state = sample_initial(ic, n, SeedSpec(40).rng())
-            final = run(state, params, 1.0, times, SeedSpec(41), interaction=loop).final
-            labels = final.labels
-        finals.append((labels, final.x, final.theta, final.counters))
-    (la, xa, tha, ca), (lb, xb, thb, cb) = finals
-    assert ca.infections > 0 and ca.recoveries > 0
-    assert np.array_equal(la, lb)
-    assert np.array_equal(tha, thb)
-    assert ca == cb
-    assert torus_distance(xa, xb, TorusGeometry(SIDE)).max() < 1e-12
+    infections = 0
+    for s in range(20):
+        state = sample_coupled_initial(ic, n, SeedSpec(48, (s,)).rng())
+        paired = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(49, (s,)))
+        alone = run(EnsembleState(state.x, state.theta, state.a), params, 1.0, [0.5, 1.0],
+                    SeedSpec(49, (s,)))
+        assert np.array_equal(paired.final.a, alone.final.labels), s
+        assert np.array_equal(paired.counts_a, alone.counts), s
+        assert np.array_equal(paired.final.x, alone.final.x), s
+        infections += alone.final.counters.infections
+    assert infections > 0
 
 
 def test_duplicate_sample_times_give_one_row_each():
@@ -269,33 +309,36 @@ def test_duplicate_sample_times_give_one_row_each():
 def synchronous_reference(initial, params, oracle, t_max, seed):
     """The paired process the plain way: every position moves on every
     event, and jumps go through the scalar rules.  Consumes the same
-    ``event_draws`` stream as ``run_coupled``.  Returns the final state
-    and the b-attempt channel counts."""
+    windowed ``BlockDraws`` as ``run_coupled``, merged in time order.
+    Returns the final state and the b-attempt channel counts."""
     state = initial.copy()
     tally = dict.fromkeys(("b_proposals", "partner_fires", "residual_fires",
                            "thinned"), 0)
-    n = state.n
-    rate = n * (1.0 + params.recovery_rate + params.infection_rate)
-    draws = event_draws(seed.rng(), n, rate, t_max)
+    d = BlockDraws(seed.rng(), state.n, params, 0.0, t_max)
+    events = sorted([(t, "jump", i, th) for t, i, th in
+                     zip(d.jump_t.tolist(), d.jump_agent.tolist(), d.jump_theta.tolist())]
+                    + [(t, "tick", i, None) for t, i in
+                       zip(d.tick_t.tolist(), d.tick_agent.tolist())]
+                    + [(t, "proposal", i, (j, u)) for t, i, j, u in
+                       zip(d.prop_t.tolist(), d.prop_agent.tolist(),
+                           d.prop_partner.tolist(), d.prop_u.tolist())],
+                    key=lambda event: event[0])
 
     def move(t_to):
         state.x = wrap(state.x + unit_vector(state.theta) * (t_to - state.t),
                        params.side)
         state.t = t_to
 
-    for e, cat, i, partner, acc, ang in draws:
-        t_next = state.t + e / rate
-        if t_next >= t_max:
-            break
-        move(t_next)
-        u = cat * rate
-        if u < n:
-            state.theta[i] = ang
+    for t, kind, i, extra in events:
+        move(t)
+        if kind == "jump":
+            state.theta[i] = extra
             state.counters.velocity_jumps += 1
-        elif u < n * (1.0 + params.recovery_rate):
+        elif kind == "tick":
             coupled_recovery(state, i)
         else:
-            b_side = coupled_infection_event(state, params, oracle, i, partner, acc)
+            partner, u = extra
+            b_side = coupled_infection_event(state, params, oracle, i, partner, u)
             if b_side is not None:
                 partner_b, fired = b_side
                 tally["b_proposals"] += 1
@@ -318,8 +361,8 @@ def solved_oracle():
 
 @pytest.mark.parametrize("n", [60, 200])
 def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
-    # lazy flight and the b-infected subset scan change only the order of
-    # floating-point work, so labels and counters must agree exactly
+    # the label-free pass and the b-infected subset scan change only the
+    # order of floating-point work, so labels and counters must agree exactly
     params = make_params(n, radius=0.2)
     ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
     geom = TorusGeometry(SIDE)

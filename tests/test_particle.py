@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import (ConfigError, EnsembleState, Label, ModelParams, SeedSpec,
-                      run, sample_initial, total_event_rate, uniform_sir)
+                      run, sample_initial, uniform_sir)
 from epichaos.core import TWO_PI
 from epichaos.oracles import master_equation_solve, state_index
 
@@ -20,14 +20,6 @@ def make_state(labels, seed=0, side=1.0):
     rng = SeedSpec(seed).rng()
     n = labels.shape[0]
     return EnsembleState(rng.random((n, 2)) * side, rng.random(n) * TWO_PI, labels)
-
-
-def test_total_event_rate_examples():
-    assert total_event_rate(make_params(1, gamma=2.0)) == 3.0
-    assert total_event_rate(make_params(2, lam=1.0, gamma=1.0)) == 4.5
-    assert total_event_rate(make_params(1000, lam=1.0, gamma=0.5)) == 1999.5
-    assert total_event_rate(make_params(100, lam=1.0, gamma=0.5),
-                            interaction="per_agent") == 250.0
 
 
 def poisson_close(count, mean):
@@ -136,6 +128,8 @@ def test_run_sample_time_contract():
         run(state, params, 1.0, [-0.1], SeedSpec(6))
     with pytest.raises(ConfigError):
         run(state, params, 1.0, [0.0, 2.0], SeedSpec(6))
+    with pytest.raises(ConfigError):
+        run(state, params, 1.0, [1.0], SeedSpec(6), interaction="pairs")
 
 
 def test_run_recovery_decay_matches_exponential():
