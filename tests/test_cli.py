@@ -290,6 +290,21 @@ def test_parse_rejects_nonpositive_agent_count(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts", ["30", "30 30", "30 60 30"])
+def test_study_needs_two_distinct_agent_counts(tmp_path, capsys, counts):
+    # one count leaves no slope to fit; a repeated count reruns the same seeds
+    bad = FULL + f"n_values = {counts}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad, "study")
+    assert "run.n_values" in str(err.value)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(bad)
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "run.n_values" in capsys.readouterr().err
+    assert not (out / "slope.csv").exists()
+
+
 @pytest.mark.parametrize("kind,flag", [("particle", "--replicas"), ("couple", "--replicas"),
                                        ("study", "--replicas"), ("particle", "--threads")])
 def test_count_overrides_are_validated(tmp_path, capsys, kind, flag):

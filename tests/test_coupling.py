@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (CoupledEnsemble, EnsembleState, Label, ModelParams, SeedSpec,
-                      TorusGeometry, b_attempt, constant_oracle, in_range, mismatch_bound,
+from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelParams,
+                      OracleSpanError, SeedSpec, TorusGeometry, b_attempt,
+                      constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_coupled_initial, sample_initial, torus_distance,
                       uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
@@ -239,6 +240,19 @@ def run_loop(loop, t_max, times, observer=None):
     state = sample_initial(ic, n, SeedSpec(46).rng())
     return run(state, params, t_max, times, SeedSpec(47), interaction=loop,
                observer=observer)
+
+
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "ensemble", "coupled"])
+def test_loops_reject_a_negative_horizon(loop):
+    with pytest.raises(ConfigError):
+        run_loop(loop, -1.0, [])
+
+
+@pytest.mark.parametrize("loop", ["ensemble", "coupled"])
+def test_field_loops_need_an_oracle_covering_the_horizon(loop):
+    with pytest.raises(OracleSpanError):
+        run_loop(loop, 2.5, [])
+    run_loop(loop, 2.0 + 1e-10, [])  # within the span's rounding slack
 
 
 def same_state(s, u):

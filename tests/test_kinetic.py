@@ -180,6 +180,26 @@ def test_solve_conserves_mass_and_counts_no_clamps():
     assert np.all(np.diff(traj.masses[:, 2]) >= -1e-12)
 
 
+def test_solve_convolves_each_field_state_once(monkeypatch):
+    # per step: the intensities of its middle and final states and two
+    # predictors; plus the initial state's intensity
+    calls = []
+    spectral = DiscKernel.spectral
+    monkeypatch.setattr(DiscKernel, "spectral",
+                        lambda self, rho: calls.append(1) or spectral(self, rho))
+    grid = GridSpec(m=16, k=4, dt=5e-3, side=SIDE)
+    params = make_params(lam=2.0, gamma=1.0, radius=0.15)
+    n_steps, stride = 40, 3
+    times = [s * grid.dt for s in range(0, n_steps, stride)] + [n_steps * grid.dt]
+    traj = solve(smooth_field(16, 4), params, grid, n_steps * grid.dt,
+                 snapshot_times=times, nf_stride=stride)
+    assert len(calls) == 4 * n_steps + 1
+    # every intensity record is that of the field state recorded with it
+    assert np.array_equal(traj.nf_times, traj.snapshot_times)
+    for fld, nf in zip(traj.snapshots, traj.nf_values):
+        assert np.array_equal(nf, infection_intensity(fld, params.radius))
+
+
 def test_solve_rejects_off_grid_snapshots():
     grid = GridSpec(m=8, k=4, dt=1e-2, side=SIDE)
     fld = smooth_field(8, 4)

@@ -63,20 +63,60 @@ def test_nf_at_rejects_out_of_span():
         orc.nf_at((0.5, 0.5), -0.5)
 
 
-def test_scalar_probe_matches_vector_path():
+def bilinear_reference(orc, x, y, t):
+    """Bilinear in space on the periodic cell-centre lattice, linear in time
+    between the bracketing records (the first record alone if there is one),
+    clamped to [0, 1]."""
+    n_t, m = orc.times.size, orc.grids.shape[1]
+    k = min(max(int(np.searchsorted(orc.times, t, side="right")) - 1, 0), max(n_t - 2, 0))
+    w = 0.0 if n_t == 1 else min(max(
+        (t - orc.times[k]) / (orc.times[k + 1] - orc.times[k]), 0.0), 1.0)
+    h = orc.side / m
+    gx, gy = x / h - 0.5, y / h - 0.5
+    i, j = math.floor(gx), math.floor(gy)
+    wx, wy = gx - i, gy - j
+    g0, g1 = orc.grids[k], orc.grids[min(k + 1, n_t - 1)]
+    corners = [((1 - wx) * (1 - wy), i, j), (wx * (1 - wy), i + 1, j),
+               ((1 - wx) * wy, i, j + 1), (wx * wy, i + 1, j + 1)]
+    v0 = v1 = 0.0
+    for c, a, b in corners:
+        v0 += c * g0[a % m, b % m]
+        v1 += c * g1[a % m, b % m]
+    return min(max((1.0 - w) * v0 + w * v1, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("n_records", [5, 1])
+def test_scalar_probe_matches_bilinear_reference(n_records):
     rng = np.random.default_rng(2)
-    grids = rng.random((5, 8, 8))
-    times = np.array([0.0, 0.3, 0.7, 1.1, 2.0])
-    orc = FieldOracle(times, grids, SIDE)
+    m = 8
+    times = np.array([0.0, 0.3, 0.7, 1.1, 2.0])[:n_records]
+    orc = FieldOracle(times, rng.random((n_records, m, m)), SIDE)
     probe = orc.scalar_probe()
-    pts = rng.random((200, 2))
-    ts = rng.random(200) * 2.0
-    vec = orc.nf_at(pts, ts)
-    scal = np.array([probe(px, py, t) for (px, py), t in zip(pts, ts)])
-    assert np.array_equal(vec, scal)
+    # random points, some off the unit square, at random times in the span
+    pts = rng.random((500, 2)) * 3.0 - 1.0
+    ts = rng.random(500) * times[-1]
+    # every cell centre at every record time
+    centres = (np.arange(m) + 0.5) * (SIDE / m)
+    grid_pts = np.array([(cx, cy) for cx in centres for cy in centres] * n_records)
+    grid_ts = np.repeat(times, m * m)
+    for xs, tt in ((pts, ts), (grid_pts, grid_ts)):
+        ref = np.array([bilinear_reference(orc, px, py, t) for (px, py), t in zip(xs, tt)])
+        scal = np.array([probe(px, py, t) for (px, py), t in zip(xs, tt)])
+        assert np.array_equal(scal, ref)
+        assert np.array_equal(orc.nf_at(xs, tt), ref)
+    # a centre at a record time reads the stored value
+    assert np.array_equal(orc.nf_at(grid_pts, grid_ts), orc.grids.ravel())
 
 
-def test_step_agent_never_infects_on_zero_field():
+def test_nf_at_shapes():
+    orc = constant_oracle(SIDE, 0.25, 1.0)
+    assert orc.nf_at((0.3, 0.4), 0.5).shape == ()
+    assert orc.nf_at(np.zeros((3, 2)), 0.5).shape == (3,)
+    assert orc.nf_at(np.zeros((2, 3, 2)), np.full((2, 3), 0.5)).shape == (2, 3)
+    assert orc.nf_at(np.zeros((0, 2)), np.zeros(0)).shape == (0,)
+
+
+def test_ensemble_never_infects_on_zero_field():
     orc = constant_oracle(SIDE, 0.0, 5.0)
     params = make_params(lam=2.0, gamma=0.0, n=200)
     traj = run_ensemble(200, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc, params, 5.0, [5.0],
@@ -86,7 +126,7 @@ def test_step_agent_never_infects_on_zero_field():
     assert np.all(traj.final.labels == Label.S)
 
 
-def test_step_agent_keeps_recovered_frozen():
+def test_ensemble_keeps_recovered_frozen():
     orc = constant_oracle(SIDE, 1.0, 5.0)
     params = make_params(lam=5.0, gamma=2.0, n=200)
     traj = run_ensemble(200, uniform_sir(SIDE, 0.0, 0.0, 1.0), orc, params, 5.0, [5.0],
