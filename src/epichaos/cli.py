@@ -19,6 +19,7 @@ parallelism changes wall time only.
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -69,12 +70,28 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_floats(text):
-    return [float(tok) for tok in text.split()]
+    return [_finite(tok) for tok in text.split()]
 
 
 def _parse_matrix(text):
-    return [[float(tok) for tok in row.split()] for row in text.split(";")]
+    return [[_finite(tok) for tok in row.split()] for row in text.split(";")]
+
+
+def _parse_velocity(text):
+    parts = text.split()
+    if parts == ["uniform"]:
+        return "uniform"
+    if len(parts) == 2 and parts[0] == "delta":
+        return _finite(parts[1])
+    raise ValueError("expected 'uniform' or 'delta <angle>'")
 
 
 def parse_config(text: str, kind: str = "particle", base_dir=None,
@@ -129,10 +146,10 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
             return default
 
     n = get("model", "n", int, required=True)
-    d = get("model", "d", float, required=True)
-    r0 = get("model", "r0", float, required=True)
-    lam = get("model", "lambda", float, required=True)
-    gamma = get("model", "gamma", float, required=True)
+    d = get("model", "d", _finite, required=True)
+    r0 = get("model", "r0", _finite, required=True)
+    lam = get("model", "lambda", _finite, required=True)
+    gamma = get("model", "gamma", _finite, required=True)
     model = None
     if not errors:
         try:
@@ -150,28 +167,21 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
     if cp.has_section("grid") or needs_grid:
         gm = get("grid", "m", int, required=needs_grid)
         gk = get("grid", "k", int, required=needs_grid)
-        gdt = get("grid", "dt", float, required=needs_grid)
+        gdt = get("grid", "dt", _finite, required=needs_grid)
         if gm is not None and gk is not None and gdt is not None and d is not None:
             try:
                 grid = GridSpec(m=gm, k=gk, dt=gdt, side=d)
             except GridError as exc:
                 fail("grid", str(exc))
 
-    s_frac = get("initial", "s", float, default=1.0)
-    i_frac = get("initial", "i", float, default=0.0)
-    r_frac = get("initial", "r", float, default=0.0)
-    velocity = get("initial", "velocity", str, default="uniform")
+    s_frac = get("initial", "s", _finite, default=1.0)
+    i_frac = get("initial", "i", _finite, default=0.0)
+    r_frac = get("initial", "r", _finite, default=0.0)
+    velocity = get("initial", "velocity", _parse_velocity, default="uniform")
     weights = get("initial", "weights", _parse_matrix)
     labels_csv = get("initial", "labels_csv", str)
     initial = None
     if not errors:
-        vel = "uniform"
-        if velocity != "uniform":
-            parts = velocity.split()
-            if len(parts) == 2 and parts[0] == "delta":
-                vel = float(parts[1])
-            else:
-                fail("initial.velocity", f"expected 'uniform' or 'delta <angle>', got {velocity!r}")
         fractions = (s_frac, i_frac, r_frac)
         if labels_csv is not None:
             try:
@@ -181,7 +191,9 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                 fail("initial.labels_csv", str(exc))
             else:
                 m0 = math.isqrt(table.shape[0])
-                if m0 * m0 == table.shape[0] and table.shape[1] == 3:
+                if not np.all(np.isfinite(table)):
+                    fail("initial.labels_csv", "values must be finite")
+                elif m0 * m0 == table.shape[0] and table.shape[1] == 3:
                     fractions = table.reshape(m0, m0, 3)
                 else:
                     fail("initial.labels_csv", f"needs m0*m0 rows of s,i,r, got "
@@ -189,11 +201,11 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
         if not errors:
             try:
                 initial = InitialCondition(side=d, fractions=fractions,
-                                           weights=weights, velocity=vel)
+                                           weights=weights, velocity=velocity)
             except InitialConditionError as exc:
                 fail("initial", str(exc))
 
-    t_max = get("run", "t", float, required=True)
+    t_max = get("run", "t", _finite, required=True)
     sample_times = get("run", "sample_times", _parse_floats)
     replicas = get("run", "replicas", int, default=1)
     seed = get("run", "seed", int, default=0)
@@ -321,32 +333,29 @@ def _solve_oracle(cfg: RunConfig, out: Path, files: list):
     return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side), solver
 
 
-def _particle_replica(args):
-    cfg, rid = args
+def _particle_replica(cfg: RunConfig, rid: int):
+    """Sample times, counts and, with ``cell_counts``, the (3, m, m) label
+    counts per cell at each sample time of one replica."""
     seed = SeedSpec(cfg.seed).child(rid)
     state = sample_initial(cfg.initial, cfg.model.n, seed.child(0).rng())
-    obs = None
+    traj = run(state, cfg.model, cfg.t_max, cfg.sample_times, seed.child(1),
+               interaction=cfg.interaction)
+    cells = []
     if cfg.cell_counts:
         m = cfg.grid.m if cfg.grid is not None else 8
-
-        def obs(st):
-            marg = empirical_marginal(st, m, 1, cfg.model.side)
-            return marg.counts.sum(axis=3)
-    traj = run(state, cfg.model, cfg.t_max, cfg.sample_times, seed.child(1),
-               interaction=cfg.interaction, observer=obs)
-    return traj.times, traj.counts, traj.extras
+        cells = [empirical_marginal(traj.state_at(t), m, 1, cfg.model.side).counts.sum(axis=3)
+                 for t in traj.times]
+    return traj.times, traj.counts, cells
 
 
-def _meanfield_replica(args):
-    cfg, oracle, rid = args
+def _meanfield_replica(cfg: RunConfig, oracle: FieldOracle, rid: int):
     seed = SeedSpec(cfg.seed).child(rid)
     traj = run_ensemble(cfg.model.n, cfg.initial, oracle, cfg.model,
                         cfg.t_max, cfg.sample_times, seed)
-    return traj.times, traj.counts, traj.extras
+    return traj.times, traj.counts, []
 
 
-def _couple_replica(args):
-    cfg, oracle, rid, n = args
+def _couple_replica(cfg: RunConfig, oracle: FieldOracle, n: int, rid: int):
     seed = SeedSpec(cfg.seed).child(n, rid)
     state = sample_coupled_initial(cfg.initial, n, seed.child(0).rng())
     traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
@@ -355,29 +364,26 @@ def _couple_replica(args):
 
 
 def _pool_map(task, jobs, threads):
+    """``task`` over ``jobs`` in order.  A pool pickles the task once per
+    chunk and each job on its own, so the jobs are replica ids and the task
+    holds the config and the oracle."""
     if threads <= 1:
         return [task(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(task, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
 
 
-def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> dict:
-    """Replicated particle or field-driven runs; returns the manifest entry
-    of the field solve, if any."""
-    extra = {}
-    if task is _particle_replica:
-        jobs = [(cfg, rid) for rid in range(cfg.replicas)]
-    else:
-        oracle, extra["solver"] = _solve_oracle(cfg, out, files)
-        jobs = [(cfg, oracle, rid) for rid in range(cfg.replicas)]
-    results = _pool_map(task, jobs, cfg.threads)
+def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
+    """Replicated particle or field-driven runs, ``task`` mapping a replica
+    id to its times, counts and cell counts."""
+    results = _pool_map(task, range(cfg.replicas), cfg.threads)
     rows = []
     cell_rows = []
-    for rid, (times, counts, extras) in enumerate(results):
+    for rid, (times, counts, cell_counts) in enumerate(results):
         for j, t in enumerate(times):
             rows.append((rid, float(t), counts[j, 0], counts[j, 1], counts[j, 2]))
-            if cfg.cell_counts and extras:
-                cells = extras[j]
+            if cell_counts:
+                cells = cell_counts[j]
                 m = cells.shape[1]
                 for ix in range(m):
                     for iy in range(m):
@@ -404,7 +410,6 @@ def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> dict:
         _write_csv(out / "summary.csv",
                    ["time", "s_mean", "s_ci", "i_mean", "i_ci", "r_mean", "r_ci"], srows)
         files.append("summary.csv")
-    return extra
 
 
 def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
@@ -439,8 +444,8 @@ def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None):
     summaries = {}
     channels = {}
     for n in n_values:
-        jobs = [(cfg, oracle, rid, n) for rid in range(cfg.replicas)]
-        results = _pool_map(_couple_replica, jobs, cfg.threads)
+        results = _pool_map(functools.partial(_couple_replica, cfg, oracle, n),
+                            range(cfg.replicas), cfg.threads)
         for rid, (times, mism, ca, cb, _) in enumerate(results):
             for j, t in enumerate(times):
                 rows.append((n, rid, float(t), float(mism[j]),
@@ -525,15 +530,14 @@ def _validate_checks(cfg: RunConfig):
     seed = SeedSpec(cfg.seed)
 
     rng = seed.child(0).rng()
-    from .core import TorusGeometry, torus_distance
-    geom = TorusGeometry(1.0)
+    from .core import torus_distance
     pts = rng.random((200, 3, 2))
     sym = triangle = True
     for p in pts:
-        d01 = torus_distance(p[0], p[1], geom)
-        d10 = torus_distance(p[1], p[0], geom)
-        d02 = torus_distance(p[0], p[2], geom)
-        d12 = torus_distance(p[1], p[2], geom)
+        d01 = torus_distance(p[0], p[1], 1.0)
+        d10 = torus_distance(p[1], p[0], 1.0)
+        d02 = torus_distance(p[0], p[2], 1.0)
+        d12 = torus_distance(p[1], p[2], 1.0)
         sym &= d01 == d10
         triangle &= d02 <= d01 + d12 + 1e-12
     yield "torus_metric", bool(sym and triangle), "symmetry and triangle inequality"
@@ -617,9 +621,11 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
     status = 0
     extra = {}
     if cfg.kind == "particle":
-        _run_particle_like(cfg, out, files, _particle_replica)
+        _run_particle_like(cfg, out, files, functools.partial(_particle_replica, cfg))
     elif cfg.kind == "meanfield":
-        extra = _run_particle_like(cfg, out, files, _meanfield_replica)
+        oracle, solver = _solve_oracle(cfg, out, files)
+        _run_particle_like(cfg, out, files, functools.partial(_meanfield_replica, cfg, oracle))
+        extra = {"solver": solver}
     elif cfg.kind == "kinetic":
         extra = _run_kinetic(cfg, out, files)
     elif cfg.kind == "couple":

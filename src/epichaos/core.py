@@ -44,35 +44,22 @@ def wrap(x, side):
     return np.where(r >= side, 0.0, r) if isinstance(r, np.ndarray) else (0.0 if r >= side else r)
 
 
-@dataclass(frozen=True)
-class TorusGeometry:
-    """Flat 2-torus [0, side) x [0, side)."""
-
-    side: float
-
-    def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError(f"torus side must be positive, got {self.side}")
-
-    def wrap(self, x):
-        return wrap(x, self.side)
-
-
-def torus_distance(x1, x2, geom: TorusGeometry) -> float:
-    """Shortest Euclidean distance between periodic images.
+def torus_distance(x1, x2, side: float) -> float:
+    """Shortest Euclidean distance between periodic images on the square of
+    the given side.
 
     Accepts single positions (shape ``(2,)``) or batches (``(..., 2)``);
     the result is bounded by side/sqrt(2).
     """
     d = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
-    d = np.minimum(d, geom.side - d)
+    d = np.minimum(d, side - d)
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def in_range(x1, x2, r0: float, geom: TorusGeometry):
+def in_range(x1, x2, r0: float, side: float):
     """True iff the wrapped distance is strictly below r0."""
     d = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
-    d = np.minimum(d, geom.side - d)
+    d = np.minimum(d, side - d)
     return (d * d).sum(axis=-1) < r0 * r0
 
 
@@ -102,20 +89,17 @@ class ModelParams:
         problems = []
         if self.n < 1:
             problems.append(f"n must be >= 1, got {self.n}")
-        if self.side <= 0:
-            problems.append(f"side must be > 0, got {self.side}")
-        if self.radius <= 0:
-            problems.append(f"radius must be > 0, got {self.radius}")
-        if self.infection_rate < 0:
-            problems.append(f"infection_rate must be >= 0, got {self.infection_rate}")
-        if self.recovery_rate < 0:
-            problems.append(f"recovery_rate must be >= 0, got {self.recovery_rate}")
+        # each comparison is false for nan, so nan fails each check
+        if not 0 < self.side < math.inf:
+            problems.append(f"side must be finite and > 0, got {self.side}")
+        if not 0 < self.radius < math.inf:
+            problems.append(f"radius must be finite and > 0, got {self.radius}")
+        if not 0 <= self.infection_rate < math.inf:
+            problems.append(f"infection_rate must be finite and >= 0, got {self.infection_rate}")
+        if not 0 <= self.recovery_rate < math.inf:
+            problems.append(f"recovery_rate must be finite and >= 0, got {self.recovery_rate}")
         if problems:
             raise ValueError("; ".join(problems))
-
-    @property
-    def geometry(self) -> TorusGeometry:
-        return TorusGeometry(self.side)
 
     def with_n(self, n: int) -> "ModelParams":
         return replace(self, n=n)
@@ -270,11 +254,10 @@ class Path:
     def near(self, agent, partner, t, radius: float):
         """Per proposal: the partner is another agent, in range at time t."""
         out = agent != partner
-        geom = TorusGeometry(self.side)
         for s in range(0, t.size, NEAR_CHUNK):
             k = slice(s, s + NEAR_CHUNK)
             xi, xj = self.positions(np.stack([agent[k], partner[k]]), t[k])
-            out[k] &= in_range(xi, xj, radius, geom)
+            out[k] &= in_range(xi, xj, radius, self.side)
         return out
 
     def recovery_after(self, agents, t):

@@ -16,14 +16,14 @@ the quantity the bound and scaling experiments measure.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (LabelTimes, ModelParams, SeedSpec, TorusGeometry, in_range,
-                   label_free_pass, wrap)
+from .core import LabelTimes, ModelParams, Path, SeedSpec, in_range, label_free_pass, wrap
 from .initial import InitialCondition
 from .meanfield import FieldOracle
-from .particle import Counters, check_sample_times, counters_at
+from .particle import Counters, check_sample_times, check_state_time, counters_at
 
 
 @dataclass
@@ -46,14 +46,6 @@ class CoupledEnsemble:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def counts_a(self):
-        c = np.bincount(self.a, minlength=3)
-        return int(c[0]), int(c[1]), int(c[2])
-
-    def counts_b(self):
-        c = np.bincount(self.b, minlength=3)
-        return int(c[0]), int(c[1]), int(c[2])
 
     def copy(self) -> "CoupledEnsemble":
         return CoupledEnsemble(self.x.copy(), self.theta.copy(), self.a.copy(),
@@ -86,9 +78,9 @@ def b_shortcut(partner_b: bool, u: float, q: float):
     return False if u >= q * (1.0 + 1e-12) else None
 
 
-def mismatch_fraction(state: CoupledEnsemble) -> float:
-    """Fraction of agents whose two labels disagree."""
-    return float(np.mean(state.a != state.b))
+def mismatch_fraction(a, b) -> float:
+    """Fraction of agents whose two labels, a and b, disagree."""
+    return float(np.mean(a != b))
 
 
 def mismatch_bound(t: float, infection_rate: float, n: int) -> float:
@@ -118,16 +110,48 @@ class Channels:
 
 @dataclass
 class CoupledTrajectory:
-    """Sampled mismatch fractions, both systems' label counts and the
-    b-attempt channel counts of the run."""
+    """The solution of one paired run on [t0, t_max]: the shared ``Path``,
+    both label systems as ``LabelTimes``, the proposal times and the
+    b-attempt channel counts, with the mismatch fraction and both systems'
+    (S, I, R) counts at the sample ``times``.  Any other state is a
+    ``state_at`` query."""
 
     times: np.ndarray
-    mismatch: np.ndarray
-    counts_a: np.ndarray
-    counts_b: np.ndarray
-    extras: list
-    final: CoupledEnsemble
+    path: Path
+    a: LabelTimes
+    b: LabelTimes
+    prop_t: np.ndarray
+    t_max: float
     channels: Channels
+    mismatch: np.ndarray = field(init=False)
+    counts_a: np.ndarray = field(init=False)
+    counts_b: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        mism, rows_a, rows_b = [], [], []
+        for s in self.times:
+            la, lb = self.a.at(s), self.b.at(s)
+            mism.append(mismatch_fraction(la, lb))
+            rows_a.append(np.bincount(la, minlength=3))
+            rows_b.append(np.bincount(lb, minlength=3))
+        self.mismatch = np.asarray(mism)
+        self.counts_a = np.asarray(rows_a, dtype=np.int64).reshape(-1, 3)
+        self.counts_b = np.asarray(rows_b, dtype=np.int64).reshape(-1, 3)
+
+    def state_at(self, s: float) -> CoupledEnsemble:
+        """Shared positions and headings, both label vectors and the event
+        counts at time s."""
+        path, a, b = self.path, self.a, self.b
+        check_state_time(s, path.t0, self.t_max)
+        cnt = counters_at(path, self.prop_t, a, s)
+        # a recovery tick at which both labels recovered counts once
+        cnt.recoveries += b.recovered_before(s) - int(np.count_nonzero(
+            (a.rec == b.rec) & (a.rec >= path.t0) & (a.rec < s)))
+        return CoupledEnsemble(*path.state_at(s), a.at(s), b.at(s), s, cnt)
+
+    @cached_property
+    def final(self) -> CoupledEnsemble:
+        return self.state_at(self.t_max)
 
 
 def sample_coupled_initial(ic: InitialCondition, n: int,
@@ -138,8 +162,7 @@ def sample_coupled_initial(ic: InitialCondition, n: int,
 
 
 def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOracle,
-                t_max: float, sample_times, seed: SeedSpec | np.random.Generator,
-                observer=None) -> CoupledTrajectory:
+                t_max: float, sample_times, seed: SeedSpec) -> CoupledTrajectory:
     """Event-driven run of the paired process.
 
     Flight, recovery clocks and proposals are the label-free pass of the
@@ -153,12 +176,10 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     """
     st = check_sample_times(sample_times, t_max)
     oracle.check_span(0.0, t_max)
-    rng = seed.rng() if isinstance(seed, SeedSpec) else seed
     n = initial.n
     path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                             params, rng)
+                                             params, seed.rng())
     a, b = LabelTimes(initial.a, path), LabelTimes(initial.b, path)
-    geom = TorusGeometry(params.side)
     near = path.near(pa, pp, pt, params.radius)
     q_cap = oracle.probe_cap
     visit = np.flatnonzero(near | (pu < q_cap))
@@ -189,7 +210,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
             n_scan += 1
             ill = np.flatnonzero((b.inf < t) & (t <= b.rec))
             p = np.count_nonzero(in_range(path.positions(ill, t), (x, y),
-                                          params.radius, geom)) / n
+                                          params.radius, params.side)) / n
             fire = b_attempt(p, q, pb, u)
         if not fire:
             if pb:
@@ -201,27 +222,8 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
             residual_fires += 1
         b.infect(i, t)
 
-    def state_at(s):
-        cnt = counters_at(path, pt, a, s)
-        # a recovery tick at which both labels recovered counts once
-        cnt.recoveries += b.recovered_before(s) - int(np.count_nonzero(
-            (a.rec == b.rec) & (a.rec >= path.t0) & (a.rec < s)))
-        return CoupledEnsemble(*path.state_at(s), a.at(s), b.at(s), s, cnt)
-
-    times, mism, rows_a, rows_b, extras = [], [], [], [], []
-    for s in st:
-        la, lb = a.at(s), b.at(s)
-        times.append(s)
-        mism.append(float(np.mean(la != lb)))
-        rows_a.append(np.bincount(la, minlength=3))
-        rows_b.append(np.bincount(lb, minlength=3))
-        if observer is not None:
-            extras.append(observer(state_at(s)))
     # a proposal reached a b-susceptible agent up to and at its b infection
     b_prop = int(np.count_nonzero(b.inf[pa] >= pt))
-    return CoupledTrajectory(np.asarray(times, dtype=float), np.asarray(mism),
-                             np.asarray(rows_a, dtype=np.int64).reshape(-1, 3),
-                             np.asarray(rows_b, dtype=np.int64).reshape(-1, 3),
-                             extras, state_at(t_max),
+    return CoupledTrajectory(st.copy(), path, a, b, pt, t_max,
                              Channels(b_prop, n_probe, n_scan, partner_fires,
                                       residual_fires, thinned))

@@ -50,10 +50,10 @@ class GridSpec:
             problems.append(f"m must be >= 4, got {self.m}")
         if self.k < 4:
             problems.append(f"k must be >= 4, got {self.k}")
-        if self.dt <= 0:
-            problems.append(f"dt must be > 0, got {self.dt}")
-        if self.side <= 0:
-            problems.append(f"side must be > 0, got {self.side}")
+        if not 0 < self.dt < math.inf:
+            problems.append(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 < self.side < math.inf:
+            problems.append(f"side must be finite and > 0, got {self.side}")
         if problems:
             raise GridError("; ".join(problems))
 

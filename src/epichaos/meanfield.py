@@ -19,7 +19,7 @@ import numpy as np
 from .core import Label, LabelTimes, ModelParams, SeedSpec, label_free_pass, wrap
 from .initial import InitialCondition
 from .kinetic import FieldTrajectory
-from .particle import EnsembleState, Trajectory, check_sample_times, counters_at
+from .particle import Trajectory, check_sample_times
 
 
 class OracleSpanError(ValueError):
@@ -141,8 +141,7 @@ def constant_oracle(side: float, value: float, t_max: float, m: int = 4) -> Fiel
 
 
 def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
-                 t_max: float, sample_times, seed: SeedSpec | np.random.Generator,
-                 observer=None) -> Trajectory:
+                 t_max: float, sample_times, seed: SeedSpec) -> Trajectory:
     """Simulate n independent copies of the one-particle process.
 
     Flight, recovery clocks and proposals are the label-free pass of the
@@ -154,26 +153,13 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
     """
     st = check_sample_times(sample_times, t_max)
     oracle.check_span(0.0, t_max)
-    if isinstance(seed, SeedSpec):
-        rng_init = seed.child(0).rng()
-        rng_dyn = seed.child(1).rng()
-    else:
-        rng_init = rng_dyn = seed
-    x, theta, labels = ic.sample(n, rng_init)
+    x, theta, labels = ic.sample(n, seed.child(0).rng())
     path, (pt, pa, _, pu) = label_free_pass(wrap(x, params.side), theta, 0.0, t_max,
-                                            params, rng_dyn)
+                                            params, seed.child(1).rng())
     lab = LabelTimes(labels, path)
     k = np.flatnonzero((pu < oracle.probe_cap) & (labels[pa] == Label.S))
     k = k[pu[k] < oracle.nf_at(path.positions(pa[k], pt[k]), pt[k])]
     # proposals are in time order, so the first index of an agent is its first
     agents, first = np.unique(pa[k], return_index=True)
     lab.infect(agents, pt[k[first]])
-
-    def state_at(s):
-        return EnsembleState(*path.state_at(s), lab.at(s), s,
-                             counters_at(path, pt, lab, s))
-
-    extras = [observer(state_at(s)) for s in st] if observer is not None else []
-    counts = [np.bincount(lab.at(s), minlength=3) for s in st]
-    return Trajectory(st.copy(), np.asarray(counts, dtype=np.int64).reshape(-1, 3),
-                      extras, state_at(t_max))
+    return Trajectory(st.copy(), path, lab, pt, t_max)

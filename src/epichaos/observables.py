@@ -124,12 +124,11 @@ def pair_factorization_gap(samples, side: float, cells: int = 4) -> float:
     return float(np.abs(p2 - np.outer(p1, p1)).sum())
 
 
-def ensemble_aggregate(values: np.ndarray, sample_times=None):
+def ensemble_aggregate(values: np.ndarray):
     """Deterministic mean and 95% normal confidence half-width per column.
 
-    ``values`` has one row per replica; rows must share the sample grid
-    (pass ``sample_times`` as a list of per-replica grids to have that
-    checked).  Returns (mean, half_width, n_replicas).
+    ``values`` has one row per replica; rows must share the sample grid.
+    Returns (mean, half_width, n_replicas).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -137,11 +136,6 @@ def ensemble_aggregate(values: np.ndarray, sample_times=None):
     r = values.shape[0]
     if r < 2:
         raise ValueError("need at least two replicas to aggregate")
-    if sample_times is not None:
-        grids = [np.asarray(g, dtype=float) for g in sample_times]
-        for g in grids[1:]:
-            if g.shape != grids[0].shape or np.any(g != grids[0]):
-                raise ValueError("replicas disagree on the sample-time grid")
     mean = values.mean(axis=0)
     sd = values.std(axis=0, ddof=1)
     half = 1.96 * sd / math.sqrt(r)

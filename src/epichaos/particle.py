@@ -14,7 +14,9 @@ only.  Both induce the same generator; runs default to per-agent, which is
 also the form the coupled simulator builds on.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +64,6 @@ class EnsembleState:
         c = np.bincount(self.labels, minlength=3)
         return int(c[0]), int(c[1]), int(c[2])
 
-    def copy(self) -> "EnsembleState":
-        return EnsembleState(self.x.copy(), self.theta.copy(), self.labels.copy(),
-                             self.t, self.counters.copy())
-
 
 def sample_initial(ic: InitialCondition, n: int, rng: np.random.Generator) -> EnsembleState:
     """n i.i.d. agents drawn from the initial one-particle density."""
@@ -73,32 +71,28 @@ def sample_initial(ic: InitialCondition, n: int, rng: np.random.Generator) -> En
     return EnsembleState(wrap(x, ic.side), theta, labels)
 
 
-@dataclass
-class Trajectory:
-    """Observations of one run: times, (S, I, R) counts, observer extras."""
-
-    times: np.ndarray
-    counts: np.ndarray
-    extras: list
-    final: EnsembleState
-
-    def fractions(self) -> np.ndarray:
-        return self.counts / self.counts.sum(axis=1, keepdims=True)
-
-
 def check_sample_times(sample_times, t_max: float) -> np.ndarray:
-    """The sample times as an array; ConfigError unless t_max >= 0 and they
-    are a sorted 1-d sequence in [0, t_max]."""
-    if t_max < 0:
-        raise ConfigError("t_max must be nonnegative")
+    """The sample times as an array; ConfigError unless t_max is finite and
+    >= 0 and they are a sorted 1-d sequence of finite times in [0, t_max]."""
+    if not 0 <= t_max < math.inf:
+        raise ConfigError(f"t_max must be finite and nonnegative, got {t_max}")
     st = np.asarray(sample_times, dtype=float)
     if st.ndim != 1:
         raise ConfigError("sample times must be a 1-d sequence")
+    if not np.all(np.isfinite(st)):
+        raise ConfigError("sample times must be finite")
     if np.any(np.diff(st) < 0):
         raise ConfigError("sample times must be sorted")
     if st.size and (st[0] < 0 or st[-1] > t_max):
         raise ConfigError(f"sample times must lie in [0, {t_max}]")
     return st
+
+
+def check_state_time(s: float, t0: float, t_max: float) -> None:
+    """ValueError unless s lies in a run's span [t0, t_max]: its path has no
+    events after t_max."""
+    if not t0 <= s <= t_max:
+        raise ValueError(f"time {s} outside the run's span [{t0}, {t_max}]")
 
 
 def counters_at(path: Path, prop_t, labels: LabelTimes, s: float) -> Counters:
@@ -107,10 +101,37 @@ def counters_at(path: Path, prop_t, labels: LabelTimes, s: float) -> Counters:
                     int(prop_t.searchsorted(s)), labels.infected_before(s))
 
 
+@dataclass
+class Trajectory:
+    """The solution of one run on [t0, t_max]: its ``Path``, its labels as
+    ``LabelTimes`` and its proposal times, with the (S, I, R) counts at the
+    sample ``times``.  Any other state is a ``state_at`` query."""
+
+    times: np.ndarray
+    path: Path
+    labels: LabelTimes
+    prop_t: np.ndarray
+    t_max: float
+    counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        counts = [np.bincount(self.labels.at(s), minlength=3) for s in self.times]
+        self.counts = np.asarray(counts, dtype=np.int64).reshape(-1, 3)
+
+    def state_at(self, s: float) -> EnsembleState:
+        """Positions, headings, labels and event counts at time s."""
+        check_state_time(s, self.path.t0, self.t_max)
+        return EnsembleState(*self.path.state_at(s), self.labels.at(s), s,
+                             counters_at(self.path, self.prop_t, self.labels, s))
+
+    @cached_property
+    def final(self) -> EnsembleState:
+        return self.state_at(self.t_max)
+
+
 def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
-        seed: SeedSpec | np.random.Generator, interaction: str = "per_agent",
-        observer=None) -> Trajectory:
-    """Event-driven run to time t_max with observations at the sample times.
+        seed: SeedSpec, interaction: str = "per_agent") -> Trajectory:
+    """Event-driven run to time t_max with counts at the sample times.
 
     Flight, recovery clocks and proposals are the label-free pass; this loop
     resolves, in time order, only the proposals whose partner is another
@@ -121,10 +142,9 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
     if interaction not in ("pair", "per_agent"):
         raise ConfigError(f"unknown interaction scheme {interaction!r}")
     st = check_sample_times(sample_times, t_max)
-    rng = seed.rng() if isinstance(seed, SeedSpec) else seed
     pair = interaction == "pair"
     path, (pt, pa, pp, _) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                            params, rng, pair)
+                                            params, seed.rng(), pair)
     lab = LabelTimes(initial.labels, path)
     inf, rec = lab.inf, lab.rec
     near = path.near(pa, pp, pt, params.radius)
@@ -134,12 +154,4 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
             i, j = j, i
         if inf[i] >= t and inf[j] < t <= rec[j]:
             lab.infect(i, t)
-
-    def state_at(s):
-        x, theta = path.state_at(s)
-        return EnsembleState(x, theta, lab.at(s), s, counters_at(path, pt, lab, s))
-
-    extras = [observer(state_at(s)) for s in st] if observer is not None else []
-    counts = [np.bincount(lab.at(s), minlength=3) for s in st]
-    return Trajectory(st.copy(), np.asarray(counts, dtype=np.int64).reshape(-1, 3),
-                      extras, state_at(t_max))
+    return Trajectory(st.copy(), path, lab, pt, t_max)

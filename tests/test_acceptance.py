@@ -111,10 +111,9 @@ def test_c03_exactness_vs_master_equation():
         rng = seed.child(0).rng()
         state = ec.EnsembleState(rng.random((n, 2)), rng.random(n) * 2 * math.pi,
                                  init.copy())
-        traj = ec.run(state, params, t_obs[-1], t_obs, seed.child(1),
-                      observer=lambda s: s.labels.copy())
-        for j, t in enumerate(t_obs):
-            counts[t][state_index(traj.extras[j])] += 1
+        traj = ec.run(state, params, t_obs[-1], t_obs, seed.child(1))
+        for t in t_obs:
+            counts[t][state_index(traj.state_at(t).labels)] += 1
     p0 = np.zeros(27)
     p0[state_index(init)] = 1.0
     boot_rng = np.random.default_rng(5)
@@ -221,13 +220,13 @@ def test_c08_marginal_convergence(fine_solution, coarse_oracle):
     snap_labels = []
     st = ec.sample_coupled_initial(IC, 500, base.child(0, 0).rng())
     traj = ec.run_coupled(st, BASE.with_n(500), coarse_oracle, 1.0,
-                          np.linspace(0.0, 1.0, 11), base.child(0, 1),
-                          observer=lambda s: s.copy())
+                          np.linspace(0.0, 1.0, 11), base.child(0, 1))
     bounds = traj.mismatch
+    pairs = [traj.state_at(t) for t in traj.times]
     exact = all(
-        b >= ec.mismatch_fraction(pair) and
-        b == ec.mismatch_fraction(pair)
-        for b, pair in zip(bounds, traj.extras))
+        b >= ec.mismatch_fraction(pair.a, pair.b) and
+        b == ec.mismatch_fraction(pair.a, pair.b)
+        for b, pair in zip(bounds, pairs))
     verdict("08 marginal-convergence", decreasing and exact,
             "L1 " + " > ".join(f"{d:.3f}" for d in dists)
             + f"; transport identity on {len(bounds)} snapshots")

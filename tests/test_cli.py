@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epichaos
 from epichaos import ConfigError, DiscKernel, field_from_initial, solve
 from epichaos.cli import fit_loglog_slope, main, parse_config
 
@@ -279,6 +284,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "model.r0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("velocity", ["delta abc", "delta", "sideways"])
+def test_main_reports_bad_velocity(tmp_path, capsys, velocity):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(MINIMAL + f"\n[initial]\nvelocity = {velocity}\n")
+    assert main(["particle", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "initial.velocity" in capsys.readouterr().err
+
+
 def test_parse_rejects_nonpositive_agent_count(tmp_path, capsys):
     bad = FULL + "n_values = 0 100\n"
     with pytest.raises(ConfigError) as err:
@@ -381,3 +395,34 @@ def test_field_cache_is_keyed_on_version_and_written_atomically(tmp_path, monkey
     fresh = tmp_path / "fresh"
     assert main(["couple", "--config", str(cfg_path), "--out", str(fresh)]) == 2
     assert _cache_files(fresh) == []
+
+
+#: Every float key of a config, as (section, key, value template).
+FLOAT_KEYS = [("model", "d", "{}"), ("model", "r0", "{}"), ("model", "lambda", "{}"),
+              ("model", "gamma", "{}"), ("grid", "dt", "{}"), ("initial", "s", "{}"),
+              ("initial", "i", "{}"), ("initial", "r", "{}"),
+              ("initial", "velocity", "delta {}"), ("initial", "weights", "1 {}; 1 1"),
+              ("run", "t", "{}"), ("run", "sample_times", "0 {}"),
+              ("run", "snapshot_times", "{}")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key,template", FLOAT_KEYS)
+def test_non_finite_values_exit_2(tmp_path, section, key, template, value):
+    # in a fresh process with a timeout: a non-finite horizon once hung the
+    # event loops
+    text = FULL.replace("[initial]", "[initial]\nweights = 1 1; 1 1")
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, f"{key} = {template.format(value)}")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text("\n".join(lines) + "\n")
+    src = Path(epichaos.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "epichaos.cli", "meanfield",
+                           "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and f"{section}.{key}:" in proc.stderr

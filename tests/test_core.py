@@ -4,46 +4,46 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (EnsembleState, ModelParams, SeedSpec, TorusGeometry, in_range,
-                      run, torus_distance, unit_vector, wrap)
+from epichaos import (EnsembleState, ModelParams, SeedSpec, in_range, run, torus_distance,
+                      unit_vector, wrap)
 from epichaos.core import WINDOW, BlockDraws, TWO_PI
 
-GEOM = TorusGeometry(1.0)
+SIDE = 1.0
 
 
 def test_torus_distance_examples():
-    assert torus_distance((0.1, 0.1), (0.9, 0.1), GEOM) == pytest.approx(0.2, abs=1e-15)
-    assert torus_distance((0.3, 0.7), (0.3, 0.7), GEOM) == 0.0
-    assert torus_distance((0.0, 0.0), (0.5, 0.5), GEOM) == pytest.approx(math.sqrt(0.5))
+    assert torus_distance((0.1, 0.1), (0.9, 0.1), SIDE) == pytest.approx(0.2, abs=1e-15)
+    assert torus_distance((0.3, 0.7), (0.3, 0.7), SIDE) == 0.0
+    assert torus_distance((0.0, 0.0), (0.5, 0.5), SIDE) == pytest.approx(math.sqrt(0.5))
 
 
 def test_torus_distance_symmetry_and_triangle():
     rng = np.random.default_rng(0)
     pts = rng.random((500, 3, 2))
     for x, y, z in pts:
-        assert torus_distance(x, y, GEOM) == torus_distance(y, x, GEOM)
-        assert torus_distance(x, z, GEOM) <= \
-            torus_distance(x, y, GEOM) + torus_distance(y, z, GEOM) + 1e-12
+        assert torus_distance(x, y, SIDE) == torus_distance(y, x, SIDE)
+        assert torus_distance(x, z, SIDE) <= \
+            torus_distance(x, y, SIDE) + torus_distance(y, z, SIDE) + 1e-12
 
 
 def test_torus_distance_max_value():
     rng = np.random.default_rng(1)
-    d = torus_distance(rng.random((1000, 2)), rng.random((1000, 2)), GEOM)
+    d = torus_distance(rng.random((1000, 2)), rng.random((1000, 2)), SIDE)
     assert np.all(d <= 1.0 / math.sqrt(2) + 1e-15)
 
 
 def test_in_range_strictness():
     # exact binary values so 'just at the radius' really is equality
-    assert in_range((0.125, 0.5), (0.875, 0.5), 0.2500000001, GEOM)
-    assert not in_range((0.125, 0.5), (0.875, 0.5), 0.25, GEOM)
-    assert in_range((0.1, 0.1), (0.9, 0.1), 0.25, GEOM)
+    assert in_range((0.125, 0.5), (0.875, 0.5), 0.2500000001, SIDE)
+    assert not in_range((0.125, 0.5), (0.875, 0.5), 0.25, SIDE)
+    assert in_range((0.1, 0.1), (0.9, 0.1), 0.25, SIDE)
 
 
 def test_in_range_radius_beyond_diameter_hits_everything():
     rng = np.random.default_rng(2)
     a = rng.random((300, 2))
     b = rng.random((300, 2))
-    assert np.all(in_range(a, b, 0.8, GEOM))
+    assert np.all(in_range(a, b, 0.8, SIDE))
 
 
 def flight_params(n):
@@ -72,16 +72,15 @@ def test_advance_free_composes():
         x, theta = rng.random((1, 2)), rng.random(1) * TWO_PI
         s, t = rng.random() * 1.5, rng.random() * 1.5
         state = EnsembleState(x, theta, np.zeros(1, dtype=np.int8))
-        traj = run(state, flight_params(1), s + t, [s, s + t], SeedSpec(3, (r,)),
-                   observer=lambda st: st.x.copy())
+        traj = run(state, flight_params(1), s + t, [s, s + t], SeedSpec(3, (r,)))
         if traj.final.counters.velocity_jumps:
             continue
         checked += 1
         at_s = wrap(x + unit_vector(theta) * s, 1.0)
         at_end = wrap(x + unit_vector(theta) * (s + t), 1.0)
-        assert torus_distance(traj.extras[0], at_s, GEOM).max() < 1e-12
-        assert torus_distance(traj.extras[1], at_end, GEOM).max() < 1e-12
-        assert torus_distance(traj.final.x, at_end, GEOM).max() < 1e-12
+        assert torus_distance(traj.state_at(s).x, at_s, SIDE).max() < 1e-12
+        assert torus_distance(traj.state_at(s + t).x, at_end, SIDE).max() < 1e-12
+        assert torus_distance(traj.final.x, at_end, SIDE).max() < 1e-12
     assert checked >= 10
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelParams,
-                      OracleSpanError, SeedSpec, TorusGeometry, b_attempt,
+                      OracleSpanError, SeedSpec, b_attempt,
                       constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_coupled_initial, sample_initial, torus_distance,
@@ -57,7 +57,7 @@ def coupled_infection_event(state, params, oracle, i, partner, u):
     (partner check, b fired) where agent i was b-susceptible, else None.
     """
     state.counters.infection_proposals += 1
-    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
+    within = in_range(state.x, state.x[i], params.radius, params.side)
     b_in = within & (state.b == Label.I)
     partner_b = bool(b_in[partner])
     b_in[i] = False
@@ -80,10 +80,10 @@ def test_coupled_recovery_cases():
     state = make_coupled([1, 1, 0], [1, 2, 0])
     coupled_recovery(state, 0)
     assert (state.a[0], state.b[0]) == (Label.R, Label.R)
-    before = mismatch_fraction(state)
+    before = mismatch_fraction(state.a, state.b)
     coupled_recovery(state, 1)  # (I, R) -> (R, R): mismatch drops
     assert (state.a[1], state.b[1]) == (Label.R, Label.R)
-    assert mismatch_fraction(state) < before
+    assert mismatch_fraction(state.a, state.b) < before
     coupled_recovery(state, 2)  # (S, S) unchanged
     assert (state.a[2], state.b[2]) == (Label.S, Label.S)
 
@@ -92,16 +92,16 @@ def test_coupled_recovery_never_increases_mismatch():
     rng = np.random.default_rng(4)
     for _ in range(200):
         state = make_coupled(rng.integers(0, 3, 8), rng.integers(0, 3, 8))
-        before = mismatch_fraction(state)
+        before = mismatch_fraction(state.a, state.b)
         coupled_recovery(state, int(rng.integers(8)))
-        assert mismatch_fraction(state) <= before + 1e-15
+        assert mismatch_fraction(state.a, state.b) <= before + 1e-15
 
 
 def exact_event_probabilities(state, params, orc, i):
     """Attempt probabilities of one proposal for agent i: the a-side
     empirical intensity, the field intensity q (which the b-attempt must
     match in any configuration) and the b-side empirical intensity p."""
-    within = in_range(state.x, state.x[i], params.radius, TorusGeometry(params.side))
+    within = in_range(state.x, state.x[i], params.radius, params.side)
     within[i] = False
     p_a = int(np.sum(within & (state.a == Label.I))) / state.n
     p = int(np.sum(within & (state.b == Label.I))) / state.n
@@ -174,11 +174,11 @@ def test_coupled_infection_event_identical_acceptance_at_matched_rates():
 
 def test_mismatch_fraction_examples():
     state = make_coupled([0, 1, 2], [0, 0, 2])
-    assert mismatch_fraction(state) == pytest.approx(1 / 3)
+    assert mismatch_fraction(state.a, state.b) == pytest.approx(1 / 3)
     state = make_coupled([0, 1], [1, 0])
-    assert mismatch_fraction(state) == 1.0
+    assert mismatch_fraction(state.a, state.b) == 1.0
     state = make_coupled([0, 1, 2], [0, 1, 2])
-    assert mismatch_fraction(state) == 0.0
+    assert mismatch_fraction(state.a, state.b) == 0.0
 
 
 def test_mismatch_bound_value():
@@ -223,7 +223,7 @@ def test_run_coupled_is_deterministic():
     assert a.final.counters == b.final.counters
 
 
-def run_loop(loop, t_max, times, observer=None):
+def run_loop(loop, t_max, times):
     """One of the four loops on a fixed start and seed (n = 60), with a
     field spanning [0, 2]."""
     n = 60
@@ -231,15 +231,12 @@ def run_loop(loop, t_max, times, observer=None):
     ic = uniform_sir(SIDE, 0.8, 0.2, 0.0)
     orc = constant_oracle(SIDE, 0.2, 2.0)
     if loop == "ensemble":
-        return run_ensemble(n, ic, orc, params, t_max, times, SeedSpec(45),
-                            observer=observer)
+        return run_ensemble(n, ic, orc, params, t_max, times, SeedSpec(45))
     if loop == "coupled":
         state = sample_coupled_initial(ic, n, SeedSpec(46).rng())
-        return run_coupled(state, params, orc, t_max, times, SeedSpec(47),
-                           observer=observer)
+        return run_coupled(state, params, orc, t_max, times, SeedSpec(47))
     state = sample_initial(ic, n, SeedSpec(46).rng())
-    return run(state, params, t_max, times, SeedSpec(47), interaction=loop,
-               observer=observer)
+    return run(state, params, t_max, times, SeedSpec(47), interaction=loop)
 
 
 @pytest.mark.parametrize("loop", ["per_agent", "pair", "ensemble", "coupled"])
@@ -255,6 +252,16 @@ def test_field_loops_need_an_oracle_covering_the_horizon(loop):
     run_loop(loop, 2.0 + 1e-10, [])  # within the span's rounding slack
 
 
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "ensemble", "coupled"])
+def test_state_at_rejects_times_outside_the_run(loop):
+    # the path has no events after t_max, so a later state would be wrong
+    traj = run_loop(loop, 1.0, [1.0])
+    assert traj.state_at(0.0).t == 0.0 and traj.state_at(1.0).t == 1.0
+    for s in (-1e-9, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError):
+            traj.state_at(s)
+
+
 def same_state(s, u):
     labels = ("a", "b") if hasattr(s, "a") else ("labels",)
     return (s.t == u.t and s.counters == u.counters and np.array_equal(s.x, u.x)
@@ -265,10 +272,10 @@ def same_state(s, u):
 @pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled", "ensemble"])
 def test_path_does_not_depend_on_the_horizon(loop):
     short = run_loop(loop, 1.0, [0.5, 1.0])
-    long = run_loop(loop, 2.0, [0.5, 1.0, 2.0], observer=lambda s: s.copy())
+    long = run_loop(loop, 2.0, [0.5, 1.0, 2.0])
     assert long.final.counters.infections > short.final.counters.infections > 0
     assert short.final.counters.recoveries > 0
-    assert same_state(short.final, long.extras[1])
+    assert same_state(short.final, long.state_at(1.0))
     count_rows = ("counts_a", "counts_b", "mismatch") if loop == "coupled" else ("counts",)
     for rows in count_rows:
         assert np.array_equal(getattr(short, rows), getattr(long, rows)[:2]), rows
@@ -379,7 +386,6 @@ def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
     # order of floating-point work, so labels and counters must agree exactly
     params = make_params(n, radius=0.2)
     ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
-    geom = TorusGeometry(SIDE)
     for s in range(20):
         seed = SeedSpec(31).child(n, s)
         state = sample_coupled_initial(ic, n, seed.child(0).rng())
@@ -390,7 +396,7 @@ def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
         assert np.array_equal(fast.b, ref.b), s
         assert fast.counters == ref.counters, s
         assert fast.t == ref.t == 1.5
-        assert torus_distance(fast.x, ref.x, geom).max() < 1e-9, s
+        assert torus_distance(fast.x, ref.x, SIDE).max() < 1e-9, s
 
 
 def test_b_attempt_branch_values():

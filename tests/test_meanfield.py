@@ -152,9 +152,8 @@ def test_ensemble_agents_are_uncorrelated():
     params = make_params(lam=2.0, gamma=1.0)
     n = 20_000  # adjacent pairs act as independent two-agent replicas
     traj = run_ensemble(n, uniform_sir(SIDE, 0.8, 0.2, 0.0), orc, params,
-                        1.0, [1.0], SeedSpec(7),
-                        observer=lambda s: s.labels.copy())
-    labels = traj.extras[0]
+                        1.0, [1.0], SeedSpec(7))
+    labels = traj.state_at(1.0).labels
     a = (labels[0::2] == Label.I).astype(float)
     b = (labels[1::2] == Label.I).astype(float)
     corr = np.corrcoef(a, b)[0, 1]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (ConfigError, EnsembleState, Label, ModelParams, SeedSpec,
-                      run, sample_initial, uniform_sir)
+from epichaos import (ConfigError, EnsembleState, GridError, GridSpec, Label, ModelParams,
+                      SeedSpec, run, sample_initial, uniform_sir)
 from epichaos.core import TWO_PI
+from epichaos.particle import check_sample_times
 from epichaos.oracles import master_equation_solve, state_index
 
 
@@ -132,6 +133,23 @@ def test_run_sample_time_contract():
         run(state, params, 1.0, [1.0], SeedSpec(6), interaction="pairs")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_direct_calls_reject_non_finite_values(value):
+    # a non-finite horizon once made the label-free pass draw windows forever
+    for key in ("side", "radius", "infection_rate", "recovery_rate"):
+        with pytest.raises(ValueError):
+            ModelParams(**{"n": 5, "side": 1.0, "radius": 0.1, "infection_rate": 1.0,
+                           "recovery_rate": 0.5, key: value})
+    for key in ("dt", "side"):
+        with pytest.raises(GridError):
+            GridSpec(**{"m": 8, "k": 4, "dt": 1e-2, "side": 1.0, key: value})
+    # checked without a run, which would never end where the check is missing
+    with pytest.raises(ConfigError):
+        check_sample_times([], value)
+    with pytest.raises(ConfigError):
+        check_sample_times([0.0, value], 1.0)
+
+
 def test_run_recovery_decay_matches_exponential():
     n = 20_000
     params = make_params(n, lam=0.0, gamma=0.8)
@@ -145,11 +163,11 @@ def test_run_recovery_decay_matches_exponential():
 def test_run_counts_match_monotonicity():
     params = make_params(300, lam=2.0, gamma=1.0)
     state = sample_initial(uniform_sir(1.0, 0.7, 0.3, 0.0), 300, SeedSpec(9).rng())
-    traj = run(state, params, 2.0, np.linspace(0, 2, 21), SeedSpec(10),
-               observer=lambda s: np.bincount(s.labels, minlength=3))
-    # the running counts agree with the labels at every observation
-    assert len(traj.extras) == 21
-    assert np.array_equal(np.array(traj.extras), traj.counts)
+    traj = run(state, params, 2.0, np.linspace(0, 2, 21), SeedSpec(10))
+    # the counts agree with the labels at every sample time
+    labels = [np.bincount(traj.state_at(s).labels, minlength=3) for s in traj.times]
+    assert len(labels) == 21
+    assert np.array_equal(np.array(labels), traj.counts)
     s, r = traj.counts[:, 0], traj.counts[:, 2]
     assert np.all(np.diff(s) <= 0)
     assert np.all(np.diff(r) >= 0)
@@ -192,9 +210,8 @@ def test_small_system_matches_master_equation():
     base = SeedSpec(15)
     for r in range(reps):
         state = make_state([0, 0, 1], seed=1000 + r)
-        traj = run(state, params, t_obs[-1], t_obs, base.child(r),
-                   observer=lambda s: s.labels.copy())
-        counts[state_index(traj.extras[0])] += 1
+        traj = run(state, params, t_obs[-1], t_obs, base.child(r))
+        counts[state_index(traj.state_at(t_obs[0]).labels)] += 1
     p0 = np.zeros(27)
     p0[state_index([0, 0, 1])] = 1.0
     exact = master_equation_solve(n, lam, gamma, p0, t_obs[0])
