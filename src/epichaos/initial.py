@@ -37,10 +37,12 @@ class InitialCondition:
     velocity: object = "uniform"
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise InitialConditionError("side must be positive")
+        if not 0 < self.side < np.inf:
+            raise InitialConditionError(f"side must be finite and positive, got {self.side}")
         w = self._weights()
         if w is not None:
+            if not np.all(np.isfinite(w)):
+                raise InitialConditionError("weights must be finite")
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise InitialConditionError("weights must be a square matrix")
             if np.any(w < 0):
@@ -55,6 +57,8 @@ class InitialCondition:
                 raise InitialConditionError("per-cell fractions must match the weights grid")
         else:
             raise InitialConditionError("fractions must be a triple or an (m, m, 3) array")
+        if not np.all(np.isfinite(fr)):
+            raise InitialConditionError("label fractions must be finite")
         if np.any(fr < 0):
             raise InitialConditionError("label fractions must be nonnegative")
         s = fr.sum(axis=-1)

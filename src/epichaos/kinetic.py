@@ -13,6 +13,18 @@ predictor-corrector so the splitting stays second order.
 All sub-steps map nonnegative fields to nonnegative fields and conserve the
 per-cell label sum (reaction) or per-label mass (transport, scattering), so
 total mass is conserved to rounding.
+
+``KineticField`` and the snapshot file keep the (3, m, m, k) layout, label
+first.  The sub-steps themselves run on a heading-first (k, 3, m, m)
+working array, where each heading's slab is contiguous and the angular
+sums run over the outer axis.  ``solve`` holds two such buffers for the
+whole run: scattering works in place, and reaction and transport write
+into the other buffer, so a step allocates nothing of full size.  The
+public ``transport_step``, ``scattering_step`` and ``reaction_step`` copy
+a field into that layout and run the same array-level functions.  Every
+intensity, recorded or returned by ``infection_intensity``, is computed
+from the densities of one heading-first array (``_densities``), so the two
+agree bit for bit.
 """
 
 import math
@@ -28,7 +40,7 @@ FIELD_MAGIC = b"EPKF"
 FIELD_VERSION = 1
 #: Names the numerical scheme of ``solve``; change it whenever a change to
 #: the solver can change its output, so that cached solves are recomputed.
-SCHEME = "strang-semilagrangian-1"
+SCHEME = "strang-semilagrangian-2"
 
 
 class GridError(ValueError):
@@ -119,7 +131,7 @@ class KineticField:
 
 
 def field_from_initial(ic: InitialCondition, grid: GridSpec) -> KineticField:
-    if abs(ic.side - grid.side) > 0:
+    if ic.side != grid.side:
         raise GridError("initial condition and grid disagree on the domain side")
     return KineticField(ic.field_values(grid.m, grid.k), grid.side, 0.0)
 
@@ -156,8 +168,29 @@ class DiscKernel:
         return conv * self.area
 
 
-def _linear_shift(values: np.ndarray, shift: float, axis: int) -> np.ndarray:
-    """Shift a periodic axis by a (possibly fractional) number of cells.
+def _to_working(values: np.ndarray) -> np.ndarray:
+    """Heading-first (k, 3, m, m) contiguous copy of (3, m, m, k) values."""
+    return np.ascontiguousarray(np.moveaxis(values, 3, 0))
+
+
+def _from_working(work: np.ndarray) -> np.ndarray:
+    """(3, m, m, k) contiguous copy of heading-first values."""
+    return np.ascontiguousarray(np.moveaxis(work, 0, 3))
+
+
+def _rolled(m: int, shift: int, axis: int):
+    """(destination, source) index pairs that roll a periodic axis of length
+    m by ``shift`` cells."""
+    c = shift % m
+    lead = (slice(None),) * axis
+    return ((lead + (slice(c, None),), lead + (slice(None, m - c),)),
+            (lead + (slice(None, c),), lead + (slice(m - c, None),)))
+
+
+def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Write into ``out`` a periodic axis of ``values`` shifted by a (possibly
+    fractional) number of cells; ``scratch`` has the shape of ``values``.
 
     Equivalent to semi-Lagrangian advection with linear interpolation at
     the departure points; integer shifts reduce to an exact roll.
@@ -165,38 +198,120 @@ def _linear_shift(values: np.ndarray, shift: float, axis: int) -> np.ndarray:
     s = math.floor(shift)
     w = shift - s
     m = values.shape[axis]
+    for dst, src in _rolled(m, s, axis):
+        np.multiply(values[src], 1.0 - w, out=out[dst])
+    if w != 0.0:
+        np.multiply(values, w, out=scratch)
+        for dst, src in _rolled(m, s + 1, axis):
+            np.add(out[dst], scratch[src], out=out[dst])
 
-    def rolled(shift_cells):
-        return values if shift_cells % m == 0 else np.roll(values, shift_cells, axis=axis)
 
-    if w == 0.0:
-        return rolled(s)
-    out = (1.0 - w) * rolled(s)
-    out += w * rolled(s + 1)
-    return out
+def _transport(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:
+    """Advect each heading slice of ``work`` by its own constant displacement
+    into ``out``."""
+    k = work.shape[0]
+    mid, scratch = np.empty_like(work[0]), np.empty_like(work[0])
+    for kv in range(k):
+        theta = TWO_PI * kv / k
+        _linear_shift(work[kv], math.cos(theta) * dt / h, 1, mid, scratch)
+        _linear_shift(mid, math.sin(theta) * dt / h, 2, out[kv], scratch)
+
+
+def _relax(work: np.ndarray, dt: float) -> None:
+    """Relax every cell of ``work`` exactly toward its angular mean, in place."""
+    decay = math.exp(-dt)
+    fbar = work.mean(axis=0)
+    fbar *= 1.0 - decay
+    work *= decay
+    work += fbar
+
+
+def _exchange(a, b, factor, a_out, b_out) -> None:
+    """Label a decays by ``factor`` into label b: ``a_out = a * factor`` and
+    ``b_out = b + (a - a_out)``; overwrites ``a``."""
+    np.multiply(a, factor, out=a_out)
+    np.subtract(a, a_out, out=a)
+    np.add(b, a, out=b_out)
+
+
+def _react(work: np.ndarray, out: np.ndarray, nf: np.ndarray, params: ModelParams,
+           dt: float, adjoint: bool) -> None:
+    """Label exchange of ``work`` into ``out`` with the intensity ``nf``
+    frozen over dt; overwrites ``work``.
+
+    S decays into I at rate infection_rate * nf, then I decays into R at
+    rate recovery_rate, both as exact exponential updates; ``adjoint``
+    applies the two exchanges in the opposite order.  The per-cell label
+    sum is conserved.
+    """
+    ds = np.exp(-params.infection_rate * dt * nf)
+    di = math.exp(-params.recovery_rate * dt)
+    s, i, r = work[:, 0], work[:, 1], work[:, 2]
+    s_out, i_out, r_out = out[:, 0], out[:, 1], out[:, 2]
+    if adjoint:
+        _exchange(i, r, di, i_out, r_out)
+        _exchange(s, i_out, ds, s_out, i_out)
+    else:
+        _exchange(s, i, ds, s_out, i)
+        _exchange(i, r, di, i_out, r_out)
+
+
+def _densities(work: np.ndarray, dtheta: float) -> np.ndarray:
+    """Angle-integrated (S, I, R) densities, shape (3, m, m), of heading-first
+    values: the one rule every intensity is computed from."""
+    return work.sum(axis=0) * dtheta
+
+
+def _intensity(kernel: DiscKernel, rho_i: np.ndarray) -> np.ndarray:
+    return np.clip(kernel.spectral(rho_i), 0.0, 1.0)
+
+
+def _corrected_intensity(rho: np.ndarray, nf0: np.ndarray, params: ModelParams,
+                         kernel: DiscKernel, dt: float, adjoint: bool) -> np.ndarray:
+    """The intensity a reaction over dt freezes: the trapezoidal average of
+    the start intensity ``nf0`` and a predicted end intensity.
+
+    ``rho`` holds the start state's densities (``_densities``).  The update
+    factors are heading-independent, so the predicted infected density
+    follows from the S and I densities alone.  Keeps the reaction sub-flow
+    locally third-order accurate, preserving overall second order of the
+    splitting.
+    """
+    if params.infection_rate == 0.0:
+        return nf0
+    ds = np.exp(-params.infection_rate * dt * nf0)
+    di = math.exp(-params.recovery_rate * dt)
+    if adjoint:
+        rho_i_pred = rho[1] * di + rho[0] * (1.0 - ds)
+    else:
+        rho_i_pred = (rho[1] + rho[0] * (1.0 - ds)) * di
+    return 0.5 * (nf0 + _intensity(kernel, rho_i_pred))
 
 
 def transport_step(fld: KineticField, dt: float) -> KineticField:
     """Advect each heading slice by its own constant displacement."""
-    m, k = fld.m, fld.k
-    h = fld.side / m
-    out = np.empty_like(fld.values)
-    for kv in range(k):
-        theta = TWO_PI * kv / k
-        sx = math.cos(theta) * dt / h
-        sy = math.sin(theta) * dt / h
-        slab = _linear_shift(fld.values[:, :, :, kv], sx, axis=1)
-        out[:, :, :, kv] = _linear_shift(slab, sy, axis=2)
-    return KineticField(out, fld.side, fld.t + dt)
+    work = _to_working(fld.values)
+    out = np.empty_like(work)
+    _transport(work, out, dt, fld.side / fld.m)
+    return KineticField(_from_working(out), fld.side, fld.t + dt)
 
 
 def scattering_step(fld: KineticField, dt: float) -> KineticField:
     """Exact relaxation of every cell toward its angular mean."""
-    decay = math.exp(-dt)
-    fbar = fld.values.mean(axis=3, keepdims=True)
-    out = decay * fld.values
-    out += (1.0 - decay) * fbar
-    return KineticField(out, fld.side, fld.t)
+    work = _to_working(fld.values)
+    _relax(work, dt)
+    return KineticField(_from_working(work), fld.side, fld.t)
+
+
+def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: float,
+                  adjoint: bool = False) -> KineticField:
+    """Local label exchange with the intensity frozen over dt (``_react``);
+    the solver applies the ``adjoint`` order on the trailing half-step to
+    keep the full splitting symmetric."""
+    work = _to_working(fld.values)
+    out = np.empty_like(work)
+    _react(work, out, nf, params, dt, adjoint)
+    return KineticField(_from_working(out), fld.side, fld.t)
 
 
 def infection_intensity(fld: KineticField, r0: float,
@@ -204,52 +319,12 @@ def infection_intensity(fld: KineticField, r0: float,
     """Dimensionless interaction intensity grid in [0, 1].
 
     Spectral convolution of the angle-integrated infected density with the
-    disc indicator of radius r0.
+    disc indicator of radius r0; bit-identical to the intensity ``solve``
+    records for the same field.
     """
     if kernel is None:
         kernel = DiscKernel(fld.m, fld.side, r0)
-    return _density_and_intensity(fld, kernel)[1]
-
-
-def _density_and_intensity(fld: KineticField, kernel: DiscKernel):
-    """The angle-integrated infected density of ``fld`` and its intensity;
-    the half reaction's predictor reuses the density."""
-    rho_i = fld.values[1].sum(axis=2) * (TWO_PI / fld.k)
-    return rho_i, np.clip(kernel.spectral(rho_i), 0.0, 1.0)
-
-
-def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: float,
-                  adjoint: bool = False) -> KineticField:
-    """Local label exchange with the intensity frozen over dt.
-
-    S decays into I at rate infection_rate * nf, then I decays into R at
-    rate recovery_rate, both as exact exponential updates; ``adjoint``
-    applies the two exchanges in the opposite order, which the solver uses
-    on the trailing half-step to keep the full splitting symmetric.  The
-    per-cell label sum is conserved.
-    """
-    v = fld.values
-    out = np.empty_like(v)
-    fs, fi, fr = v[0], v[1], v[2]
-    ds = np.exp(-params.infection_rate * dt * nf)[:, :, None]
-    di = math.exp(-params.recovery_rate * dt)
-
-    def s_to_i(fs, fi):
-        s_new = fs * ds
-        return s_new, fi + (fs - s_new)
-
-    def i_to_r(fi, fr):
-        i_new = fi * di
-        return i_new, fr + (fi - i_new)
-
-    if adjoint:
-        fi, fr = i_to_r(fi, fr)
-        fs, fi = s_to_i(fs, fi)
-    else:
-        fs, fi = s_to_i(fs, fi)
-        fi, fr = i_to_r(fi, fr)
-    out[0], out[1], out[2] = fs, fi, fr
-    return KineticField(out, fld.side, fld.t)
+    return _intensity(kernel, _densities(_to_working(fld.values), TWO_PI / fld.k)[1])
 
 
 @dataclass
@@ -280,33 +355,6 @@ def _on_step_grid(t: float, dt: float) -> int:
     return int(k)
 
 
-def _reaction_half(fld: KineticField, rho_i: np.ndarray, nf0: np.ndarray,
-                   params: ModelParams, kernel: DiscKernel, dt_half: float,
-                   adjoint: bool) -> KineticField:
-    """Half reaction with trapezoidal refresh of the frozen intensity.
-
-    ``rho_i`` and ``nf0`` are the infected density and the intensity of
-    ``fld`` (``_density_and_intensity``).  A predictor with ``nf0`` provides
-    the endpoint intensity; the corrector applies the exponential update with
-    the average.  The predictor only needs the angle-integrated densities:
-    the update factors are heading-independent, so the predicted infected
-    density follows from the S and I densities alone.  Keeps the reaction
-    sub-flow locally third-order accurate, preserving overall second order
-    of the splitting.
-    """
-    if params.infection_rate == 0.0:
-        return reaction_step(fld, nf0, params, dt_half, adjoint)
-    rho_s = fld.values[0].sum(axis=2) * (TWO_PI / fld.k)
-    ds = np.exp(-params.infection_rate * dt_half * nf0)
-    di = math.exp(-params.recovery_rate * dt_half)
-    if adjoint:
-        rho_i_pred = rho_i * di + rho_s * (1.0 - ds)
-    else:
-        rho_i_pred = (rho_i + rho_s * (1.0 - ds)) * di
-    nf1 = np.clip(kernel.spectral(rho_i_pred), 0.0, 1.0)
-    return reaction_step(fld, 0.5 * (nf0 + nf1), params, dt_half, adjoint)
-
-
 def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: float,
           snapshot_times=(), nf_stride: int = 10) -> FieldTrajectory:
     """Integrate to t_max with Strang splitting on the grid's dt.
@@ -325,44 +373,49 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
     snap_steps = {_on_step_grid(t, grid.dt): t for t in snap_times}
 
     kernel = DiscKernel(grid.m, grid.side, params.radius)
-    fld = initial.copy()
-    dt = grid.dt
-    half = 0.5 * dt
+    dt, half, h, dtheta = grid.dt, 0.5 * grid.dt, grid.h, grid.dtheta
+    # the state lives in ``work``; reaction and transport write into ``spare``
+    work = _to_working(initial.values)
+    spare = np.empty_like(work)
 
     snapshots = []
     nf_times, nf_values = [], []
     mass_times, masses = [], []
     clamps = 0
 
-    def record(step_idx):
-        """Clamp and record the step's field; returns its infected density
-        and intensity, which the next step's leading half reaction starts
+    def record(work, step_idx):
+        """Clamp and record the step's state; returns its densities and
+        intensity, which the next step's leading half reaction starts
         from."""
         nonlocal clamps
-        if fld.values.min() < 0.0:
-            clamps += int((fld.values < 0).sum())
-            np.clip(fld.values, 0.0, None, out=fld.values)
-        rho_nf = _density_and_intensity(fld, kernel)
-        mass_times.append(fld.t)
-        masses.append(fld.label_masses())
+        if work.min() < 0.0:
+            clamps += int((work < 0).sum())
+            np.clip(work, 0.0, None, out=work)
+        rho = _densities(work, dtheta)
+        nf = _intensity(kernel, rho[1])
+        t = initial.t + step_idx * dt
+        mass_times.append(t)
+        masses.append(rho.sum(axis=(1, 2)) * (h * h))
         if step_idx % nf_stride == 0 or step_idx == n_steps:
-            nf_times.append(fld.t)
-            nf_values.append(rho_nf[1])
+            nf_times.append(t)
+            nf_values.append(nf)
         if step_idx in snap_steps:
-            snapshots.append(fld.copy())
-        return rho_nf
+            snapshots.append(KineticField(_from_working(work), grid.side, t))
+        return rho, nf
 
-    rho_nf = record(0)
+    rho, nf = record(work, 0)
     for s in range(1, n_steps + 1):
-        fld = _reaction_half(fld, *rho_nf, params, kernel, half, adjoint=False)
-        del rho_nf  # kept to the end of the step, it cost 30 % more page faults
-        fld = scattering_step(fld, half)
-        fld = transport_step(fld, dt)
-        fld = scattering_step(fld, half)
-        fld = _reaction_half(fld, *_density_and_intensity(fld, kernel), params, kernel,
-                             half, adjoint=True)
-        fld.t = initial.t + s * dt
-        rho_nf = record(s)
+        _react(work, spare, _corrected_intensity(rho, nf, params, kernel, half, False),
+               params, half, adjoint=False)
+        _relax(spare, half)
+        _transport(spare, work, dt, h)
+        _relax(work, half)
+        rho = _densities(work, dtheta)
+        nf = _corrected_intensity(rho, _intensity(kernel, rho[1]), params, kernel, half,
+                                  True)
+        _react(work, spare, nf, params, half, adjoint=True)
+        work, spare = spare, work
+        rho, nf = record(work, s)
 
     return FieldTrajectory(grid, snap_times, snapshots,
                            np.asarray(nf_times), np.asarray(nf_values),

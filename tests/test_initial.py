@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from epichaos import InitialCondition, InitialConditionError, SeedSpec, uniform_sir
+from epichaos import (GridError, GridSpec, InitialCondition, InitialConditionError, SeedSpec,
+                      field_from_initial, uniform_sir)
 
 
 def test_rejects_bad_fractions():
@@ -19,6 +20,39 @@ def test_rejects_bad_weights():
     with pytest.raises(InitialConditionError):
         InitialCondition(side=1.0, weights=[[0.0, 0.0], [0.0, 0.0]])
 
+
+
+def _with_side(bad):
+    return InitialCondition(side=bad)
+
+
+def _with_fractions(bad):
+    return InitialCondition(side=1.0, fractions=(1.0 - 0.1, 0.1, bad))
+
+
+def _with_cell_fractions(bad):
+    fr = np.tile([0.5, 0.5, 0.0], (2, 2, 1))
+    fr[1, 0, 2] = bad
+    return InitialCondition(side=1.0, fractions=fr)
+
+
+def _with_weights(bad):
+    return InitialCondition(side=1.0, weights=[[1.0, bad], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [_with_side, _with_fractions, _with_cell_fractions,
+                                   _with_weights],
+                         ids=["side", "fractions", "cell_fractions", "weights"])
+def test_rejects_non_finite_values(build, bad):
+    with pytest.raises(InitialConditionError):
+        build(bad)
+
+
+def test_field_needs_the_grid_side():
+    ic = uniform_sir(1.0, 0.9, 0.1, 0.0)
+    with pytest.raises(GridError):
+        field_from_initial(ic, GridSpec(m=8, k=4, dt=1e-2, side=2.0))
 
 def test_label_fraction_sampling():
     ic = uniform_sir(1.0, 0.9, 0.1, 0.0)

@@ -53,6 +53,17 @@ def test_transport_integer_shift_is_exact_roll():
     assert np.array_equal(out.values[:, :, :, 0], expected)
 
 
+
+def test_transport_fractional_shift_interpolates_linearly():
+    m, k = 8, 4
+    fld = random_field(m, k, seed=12)
+    dt = 2.25 / m  # 2.25 cells along theta = 0, -2.25 along theta = pi
+    out = transport_step(fld, dt)
+    for kv, s, w in ((0, 2, 0.25), (2, -3, 0.75)):
+        v = fld.values[:, :, :, kv]
+        expected = (1.0 - w) * np.roll(v, s, axis=1) + w * np.roll(v, s + 1, axis=1)
+        assert np.abs(out.values[:, :, :, kv] - expected).max() < 1e-15
+
 def test_transport_preserves_mass():
     fld = random_field(16, 8, seed=2)
     out = transport_step(fld, 0.0137)
@@ -199,6 +210,55 @@ def test_solve_convolves_each_field_state_once(monkeypatch):
     for fld, nf in zip(traj.snapshots, traj.nf_values):
         assert np.array_equal(nf, infection_intensity(fld, params.radius))
 
+
+
+def test_snapshots_do_not_perturb_the_solve():
+    grid = GridSpec(m=16, k=4, dt=5e-3, side=SIDE)
+    params = make_params(lam=2.0, gamma=1.0, radius=0.15)
+    n_steps, stride = 30, 4
+    t_max = n_steps * grid.dt
+    plain = solve(smooth_field(16, 4), params, grid, t_max, nf_stride=stride)
+    times = [s * grid.dt for s in range(0, n_steps + 1, stride)]
+    snapped = solve(smooth_field(16, 4), params, grid, t_max, snapshot_times=times,
+                    nf_stride=stride)
+    assert len(snapped.snapshots) == len(times)
+    for name in ("masses", "nf_times", "nf_values", "clamp_count"):
+        assert np.array_equal(getattr(plain, name), getattr(snapped, name)), name
+    # each snapshot is its own copy, not a view of the solver's buffers
+    assert len({id(f.values) for f in snapped.snapshots}) == len(times)
+    assert not np.array_equal(snapped.snapshots[0].values, snapped.snapshots[-1].values)
+
+
+def test_solve_step_is_the_public_strang_composition():
+    m, k = 16, 4
+    grid = GridSpec(m=m, k=k, dt=5e-3, side=SIDE)
+    params = make_params(lam=3.0, gamma=1.0, radius=0.15)
+    kernel = DiscKernel(m, SIDE, params.radius)
+    half = 0.5 * grid.dt
+
+    def half_reaction(fld, adjoint):
+        # trapezoidal intensity: the start value and a predicted end value
+        nf0 = infection_intensity(fld, params.radius)
+        rho_s, rho_i = fld.values[:2].sum(axis=3) * grid.dtheta
+        ds = np.exp(-params.infection_rate * half * nf0)
+        di = math.exp(-params.recovery_rate * half)
+        if adjoint:
+            pred = rho_i * di + rho_s * (1.0 - ds)
+        else:
+            pred = (rho_i + rho_s * (1.0 - ds)) * di
+        nf1 = np.clip(kernel.spectral(pred), 0.0, 1.0)
+        return reaction_step(fld, 0.5 * (nf0 + nf1), params, half, adjoint=adjoint)
+
+    fld = smooth_field(m, k)
+    fld = half_reaction(fld, adjoint=False)
+    fld = scattering_step(fld, half)
+    fld = transport_step(fld, grid.dt)
+    fld = scattering_step(fld, half)
+    fld = half_reaction(fld, adjoint=True)
+    traj = solve(smooth_field(m, k), params, grid, grid.dt, snapshot_times=[grid.dt])
+    assert traj.clamp_count == 0
+    assert np.abs(traj.snapshots[0].values - fld.values).max() < 1e-14
+    assert np.abs(traj.nf_values[-1] - infection_intensity(fld, params.radius)).max() < 1e-14
 
 def test_solve_rejects_off_grid_snapshots():
     grid = GridSpec(m=8, k=4, dt=1e-2, side=SIDE)
