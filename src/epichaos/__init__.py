@@ -4,8 +4,7 @@ the paired run that measures how fast the two descriptions agree as the
 agent count grows.
 """
 
-from .core import (Label, ModelParams, SeedSpec, VELOCITY_JUMP_RATE, in_range,
-                   torus_distance, unit_vector, wrap)
+from .core import Label, ModelParams, SeedSpec, in_range, wrap
 from .initial import InitialCondition, InitialConditionError, uniform_sir
 from .particle import (ConfigError, Counters, EnsembleState, Trajectory, run,
                        sample_initial)

@@ -20,10 +20,8 @@ import argparse
 import concurrent.futures
 import configparser
 import functools
-import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, oracles
-from .core import Label, ModelParams, SeedSpec, TWO_PI
+from .core import Label, ModelParams, SeedSpec, TWO_PI, torus_distance
 from .initial import InitialCondition, InitialConditionError
-from .kinetic import (SCHEME, DiscKernel, GridError, GridSpec, field_from_initial,
-                      save_field, solve)
+from .kinetic import (DiscKernel, GridError, GridSpec, field_from_initial, save_field,
+                      solve)
 from .meanfield import FieldOracle, constant_oracle, run_ensemble
 from .coupling import mismatch_bound, run_coupled, sample_coupled_initial
 from .observables import empirical_marginal, ensemble_aggregate
@@ -46,7 +44,7 @@ _MODEL_KEYS = {"n", "d", "r0", "lambda", "gamma"}
 _GRID_KEYS = {"m", "k", "dt"}
 _INITIAL_KEYS = {"s", "i", "r", "velocity", "weights", "labels_csv"}
 _RUN_KEYS = {"t", "sample_times", "replicas", "seed", "n_values",
-             "snapshot_times", "nf_stride", "interaction", "cell_counts", "threads"}
+             "snapshot_times", "interaction", "cell_counts", "threads"}
 
 
 @dataclass
@@ -63,7 +61,6 @@ class RunConfig:
     seed: int
     n_values: list
     snapshot_times: list
-    nf_stride: int
     interaction: str
     cell_counts: bool
     threads: int
@@ -212,7 +209,6 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
     n_values = get("run", "n_values", lambda s: [int(tok) for tok in s.split()],
                    required=(kind == "study"))
     snapshot_times = get("run", "snapshot_times", _parse_floats, default=None)
-    nf_stride = get("run", "nf_stride", int, default=10)
     interaction = get("run", "interaction", str, default="per_agent")
     cell_counts = get("run", "cell_counts", lambda s: s.lower() in ("1", "true", "yes"),
                       default=False)
@@ -237,8 +233,6 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
         fail("run.interaction", f"must be per_agent or pair, got {interaction!r}")
     if threads is not None and threads < 1:
         fail("run.threads", f"must be >= 1, got {threads}")
-    if nf_stride is not None and nf_stride < 1:
-        fail("run.nf_stride", f"must be >= 1, got {nf_stride}")
     # a slope needs two counts; a repeated count reruns the same seeds
     if kind == "study" and n_values is not None and (
             len(n_values) < 2 or len(set(n_values)) < len(n_values)):
@@ -251,8 +245,8 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
     return RunConfig(kind=kind, model=model, initial=initial, grid=grid,
                      t_max=t_max, sample_times=sample_times, replicas=replicas,
                      seed=seed, n_values=n_values or [], snapshot_times=snapshot_times,
-                     nf_stride=nf_stride, interaction=interaction,
-                     cell_counts=cell_counts, threads=threads, raw=raw)
+                     interaction=interaction, cell_counts=cell_counts, threads=threads,
+                     raw=raw)
 
 
 def _fmt(value) -> str:
@@ -283,7 +277,6 @@ def _config_fingerprint(cfg: RunConfig) -> dict:
                         else float(cfg.initial.velocity),
         },
         "t": cfg.t_max,
-        "nf_stride": cfg.nf_stride,
     }
 
 
@@ -294,43 +287,14 @@ def _solver_stats(traj) -> dict:
     return {"clamp_count": int(traj.clamp_count), "max_step_mass_drift": float(drift)}
 
 
-#: Arrays of a cached field solve; part of the cache key.
-_CACHE_LAYOUT = ("nf_times", "nf_values", "clamp_count", "max_step_mass_drift")
-
-
-def _solve_oracle(cfg: RunConfig, out: Path, files: list):
-    """The field's oracle and solver stats.  Solved once per (model, grid,
-    initial, horizon, package version, solver scheme, cache layout); cached
-    on disk under a temporary name renamed into place, so a crashed or
-    concurrent run leaves no partial file."""
-    key_src = json.dumps({"config": _config_fingerprint(cfg), "version": __version__,
-                          "scheme": SCHEME, "layout": _CACHE_LAYOUT}, sort_keys=True)
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    cache_dir = out / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache = cache_dir / f"kinetic_{key}.npz"
-    files.append(str(cache.relative_to(out)))
-    if cache.exists():
-        with np.load(cache) as npz:
-            data = dict(npz)
-    else:
-        traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid,
-                     cfg.t_max, nf_stride=cfg.nf_stride)
-        data = {"nf_times": traj.nf_times, "nf_values": traj.nf_values,
-                **_solver_stats(traj)}
-        tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **{name: data[name] for name in _CACHE_LAYOUT})
-            os.replace(tmp, cache)
-        finally:
-            tmp.unlink(missing_ok=True)
+def _solve_oracle(cfg: RunConfig):
+    """The field's oracle and the solver's manifest entry."""
+    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max)
     # the field's contact rate runs over the lattice disc, not the true one
     kernel = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius)
-    solver = {"clamp_count": int(data["clamp_count"]),
-              "max_step_mass_drift": float(data["max_step_mass_drift"]),
+    solver = {**_solver_stats(traj),
               "lattice_disc_area_ratio": kernel.disc_area / (math.pi * cfg.model.radius ** 2)}
-    return FieldOracle(data["nf_times"], data["nf_values"], cfg.model.side), solver
+    return FieldOracle(traj.nf_times, traj.nf_values, cfg.model.side), solver
 
 
 def _particle_replica(cfg: RunConfig, rid: int):
@@ -416,8 +380,7 @@ def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
     """Solve and write masses and snapshots; returns the solver's manifest
     entry."""
     f0 = field_from_initial(cfg.initial, cfg.grid)
-    traj = solve(f0, cfg.model, cfg.grid, cfg.t_max,
-                 snapshot_times=cfg.snapshot_times, nf_stride=cfg.nf_stride)
+    traj = solve(f0, cfg.model, cfg.grid, cfg.t_max, snapshot_times=cfg.snapshot_times)
     _write_csv(out / "masses.csv", ["time", "s_mass", "i_mass", "r_mass"],
                [(float(t), *map(float, m))
                 for t, m in zip(traj.mass_times, traj.masses)])
@@ -438,7 +401,7 @@ def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None):
     """Paired runs per agent count.  Returns the mismatch series per n and
     the manifest entry: solver stats and the b-attempt channel counts
     summed over the replicas of each n."""
-    oracle, solver = _solve_oracle(cfg, out, files)
+    oracle, solver = _solve_oracle(cfg)
     n_values = n_values or [cfg.model.n]
     rows = []
     summaries = {}
@@ -530,7 +493,6 @@ def _validate_checks(cfg: RunConfig):
     seed = SeedSpec(cfg.seed)
 
     rng = seed.child(0).rng()
-    from .core import torus_distance
     pts = rng.random((200, 3, 2))
     sym = triangle = True
     for p in pts:
@@ -623,7 +585,7 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
     if cfg.kind == "particle":
         _run_particle_like(cfg, out, files, functools.partial(_particle_replica, cfg))
     elif cfg.kind == "meanfield":
-        oracle, solver = _solve_oracle(cfg, out, files)
+        oracle, solver = _solve_oracle(cfg)
         _run_particle_like(cfg, out, files, functools.partial(_meanfield_replica, cfg, oracle))
         extra = {"solver": solver}
     elif cfg.kind == "kinetic":

@@ -30,9 +30,6 @@ class Label(IntEnum):
     R = 2
 
 
-LABEL_NAMES = ("S", "I", "R")
-
-
 def wrap(x, side):
     """Canonicalize coordinates into [0, side).
 

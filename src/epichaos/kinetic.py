@@ -38,9 +38,6 @@ from .initial import InitialCondition
 
 FIELD_MAGIC = b"EPKF"
 FIELD_VERSION = 1
-#: Names the numerical scheme of ``solve``; change it whenever a change to
-#: the solver can change its output, so that cached solves are recomputed.
-SCHEME = "strang-semilagrangian-2"
 
 
 class GridError(ValueError):
@@ -77,13 +74,6 @@ class GridSpec:
     def dtheta(self) -> float:
         return TWO_PI / self.k
 
-    @property
-    def cell_measure(self) -> float:
-        return self.h * self.h * self.dtheta
-
-    def angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.k) / self.k
-
 
 @dataclass
 class KineticField:
@@ -117,9 +107,6 @@ class KineticField:
 
     def label_masses(self) -> np.ndarray:
         return self.values.sum(axis=(1, 2, 3)) * self.cell_measure
-
-    def copy(self) -> "KineticField":
-        return KineticField(self.values.copy(), self.side, self.t)
 
     def coarsen(self, m2: int, k2: int) -> "KineticField":
         """Average down to an (m2, k2) grid; both factors must divide."""

@@ -82,6 +82,14 @@ def test_parse_rejects_unknown_and_missing_keys():
     assert "model.gamma" in str(err.value)
 
 
+def test_nf_stride_is_not_a_config_key(tmp_path, capsys):
+    # the CLI records the field at solve()'s default stride
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL + "nf_stride = 10\n")
+    assert main(["meanfield", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "run.nf_stride: unknown key" in capsys.readouterr().err
+
+
 def test_parse_collects_every_violation():
     bad = MINIMAL.replace("r0 = 0.1", "r0 = -1") + "sample_times = 0.0 5.0\n"
     with pytest.raises(ConfigError) as err:
@@ -132,7 +140,7 @@ def test_couple_experiment_emits_expected_files(tmp_path):
         assert (out / name).exists(), name
     header = (out / "observations.csv").read_text().splitlines()[0]
     assert header == "n,replica,time,mismatch,s_a,i_a,r_a,s_b,i_b,r_b"
-    # second run reuses the cached field solve and reproduces the CSVs
+    # a second run into another directory reproduces the CSVs
     assert main(["couple", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o2")]) == 0
     first = (out / "observations.csv").read_bytes()
@@ -189,23 +197,19 @@ def test_kinetic_manifest_reports_solver_clamps_and_mass_drift(tmp_path):
     assert main(["kinetic", "--config", str(cfg_path), "--out", str(out)]) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     cfg = parse_config(FULL, "kinetic")
-    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max,
-                 nf_stride=cfg.nf_stride)
+    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max)
     assert solver["clamp_count"] == traj.clamp_count == 0
     drift = np.abs(np.diff(traj.masses.sum(axis=1))).max()
     assert solver["max_step_mass_drift"] == drift < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["meanfield", "couple", "study"])
-def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path, monkeypatch):
-    import epichaos.cli as cli
-
+def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path):
     text = FULL + "n_values = 20 40\n" if kind == "study" else FULL
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(text)
     cfg = parse_config(text, kind)
-    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max,
-                 nf_stride=cfg.nf_stride)
+    traj = solve(field_from_initial(cfg.initial, cfg.grid), cfg.model, cfg.grid, cfg.t_max)
     disc = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius).mask.sum()
     want = {"clamp_count": traj.clamp_count,
             "max_step_mass_drift": float(np.abs(np.diff(traj.masses.sum(axis=1))).max()),
@@ -213,14 +217,35 @@ def test_field_solve_reports_solver_stats_on_miss_and_hit(kind, tmp_path, monkey
                 disc * (cfg.grid.side / cfg.grid.m) ** 2 / (math.pi * cfg.model.radius ** 2),
                 rel=1e-14)}
     out = tmp_path / "o"
-    argv = [kind, "--config", str(cfg_path), "--out", str(out)]
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["solver"] == want
+
+
+def test_rerun_into_the_same_directory_solves_again_and_writes_only_listed_files(
+        tmp_path, monkeypatch):
+    import epichaos.cli as cli
+
+    calls = []
+    real_solve = cli.solve
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[3])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counted_solve)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL)
+    out = tmp_path / "o"
+    argv = ["meanfield", "--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 0
-    miss = json.loads((out / "manifest.json").read_text())["solver"]
-    # the second run must read the stats back from the cached solve
-    monkeypatch.setattr(cli, "solve", None)
+    first = (out / "observations.csv").read_bytes()
     assert main(argv) == 0
-    hit = json.loads((out / "manifest.json").read_text())["solver"]
-    assert miss == hit == want
+    assert calls == [0.5, 0.5]
+    assert (out / "observations.csv").read_bytes() == first
+    assert not (out / "cache").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["files"]) | {"manifest.json"} == written
 
 
 @pytest.mark.parametrize("kind", ["meanfield", "couple", "study"])
@@ -359,42 +384,6 @@ def test_labels_csv_is_relative_to_the_config_file(tmp_path, monkeypatch):
     fractions = np.asarray(manifest["fingerprint"]["initial"]["fractions"])
     assert fractions.shape == (3, 3, 3)
     assert fractions[2, 2].tolist() == [0.5, 0.5, 0.0]
-
-
-def _cache_files(out):
-    return sorted(p.name for p in (out / "cache").iterdir())
-
-
-def test_field_cache_is_keyed_on_version_and_written_atomically(tmp_path, monkeypatch):
-    import epichaos.cli as cli
-
-    cfg_path = tmp_path / "c.ini"
-    cfg_path.write_text(FULL)
-    out = tmp_path / "o"
-    argv = ["couple", "--config", str(cfg_path), "--out", str(out)]
-    assert main(argv) == 0
-    first = (out / "observations.csv").read_bytes()
-    (current,) = _cache_files(out)
-    # a field cached under another version tag must not be loaded: spoil it
-    monkeypatch.setattr(cli, "__version__", "0.0.0-old")
-    assert main(argv) == 0
-    stale = next(name for name in _cache_files(out) if name != current)
-    (out / "cache" / stale).write_bytes(b"not a field")
-    monkeypatch.undo()
-    (out / "cache" / current).unlink()
-    assert main(argv) == 0
-    assert (out / "observations.csv").read_bytes() == first
-    assert _cache_files(out) == sorted([current, stale])
-
-    # a solve that fails while writing leaves nothing behind in cache/
-    def broken_savez(fh, **arrays):
-        fh.write(b"PK partial")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli.np, "savez", broken_savez)
-    fresh = tmp_path / "fresh"
-    assert main(["couple", "--config", str(cfg_path), "--out", str(fresh)]) == 2
-    assert _cache_files(fresh) == []
 
 
 #: Every float key of a config, as (section, key, value template).

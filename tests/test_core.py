@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (EnsembleState, ModelParams, SeedSpec, in_range, run, torus_distance,
-                      unit_vector, wrap)
-from epichaos.core import WINDOW, BlockDraws, TWO_PI
+from epichaos import EnsembleState, ModelParams, SeedSpec, in_range, run, wrap
+from epichaos.core import WINDOW, BlockDraws, TWO_PI, torus_distance, unit_vector
 
 SIDE = 1.0
+
+
+def test_geometry_helpers_stay_in_core():
+    import epichaos
+
+    for name in ("torus_distance", "unit_vector", "VELOCITY_JUMP_RATE"):
+        assert not hasattr(epichaos, name)
 
 
 def test_torus_distance_examples():

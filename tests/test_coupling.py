@@ -8,10 +8,9 @@ from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelP
                       OracleSpanError, SeedSpec, b_attempt,
                       constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
-                      sample_coupled_initial, sample_initial, torus_distance,
-                      uniform_sir, unit_vector, wrap, FieldOracle, GridSpec,
-                      field_from_initial, solve)
-from epichaos.core import TWO_PI, BlockDraws
+                      sample_coupled_initial, sample_initial, uniform_sir, wrap,
+                      FieldOracle, GridSpec, field_from_initial, solve)
+from epichaos.core import TWO_PI, BlockDraws, torus_distance, unit_vector
 from epichaos.coupling import b_shortcut
 
 SIDE = 1.0
