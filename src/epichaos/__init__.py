@@ -12,7 +12,8 @@ from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
                       KineticField, field_from_initial, infection_intensity,
                       load_field, reaction_step, save_field, scattering_step,
                       solve, transport_step)
-from .meanfield import FieldOracle, OracleSpanError, constant_oracle, run_ensemble
+from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, ensemble_counts,
+                        run_ensemble)
 from .coupling import (CoupledEnsemble, CoupledTrajectory, b_attempt, mismatch_bound,
                        mismatch_fraction, run_coupled, sample_coupled_initial)
 from .observables import (EmpiricalMarginal, GridMismatchError, empirical_marginal,

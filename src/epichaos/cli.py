@@ -33,7 +33,7 @@ from .core import Label, ModelParams, SeedSpec, TWO_PI, torus_distance
 from .initial import InitialCondition, InitialConditionError
 from .kinetic import (DiscKernel, GridError, GridSpec, field_from_initial, save_field,
                       solve)
-from .meanfield import FieldOracle, constant_oracle, run_ensemble
+from .meanfield import FieldOracle, constant_oracle, ensemble_counts, run_ensemble
 from .coupling import mismatch_bound, run_coupled, sample_coupled_initial
 from .observables import empirical_marginal, ensemble_aggregate
 from .particle import ConfigError, check_sample_times, run, sample_initial
@@ -80,6 +80,16 @@ def _parse_floats(text):
 
 def _parse_matrix(text):
     return [[_finite(tok) for tok in row.split()] for row in text.split(";")]
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text):
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError("expected true/false, yes/no or 1/0") from None
 
 
 def _parse_velocity(text):
@@ -210,8 +220,7 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                    required=(kind == "study"))
     snapshot_times = get("run", "snapshot_times", _parse_floats, default=None)
     interaction = get("run", "interaction", str, default="per_agent")
-    cell_counts = get("run", "cell_counts", lambda s: s.lower() in ("1", "true", "yes"),
-                      default=False)
+    cell_counts = get("run", "cell_counts", _parse_bool, default=False)
     threads = get("run", "threads", int, default=1)
 
     if t_max is not None and t_max < 0:
@@ -298,8 +307,8 @@ def _solve_oracle(cfg: RunConfig):
 
 
 def _particle_replica(cfg: RunConfig, rid: int):
-    """Sample times, counts and, with ``cell_counts``, the (3, m, m) label
-    counts per cell at each sample time of one replica."""
+    """Counts and, with ``cell_counts``, the (3, m, m) label counts per cell
+    at each sample time of one replica."""
     seed = SeedSpec(cfg.seed).child(rid)
     state = sample_initial(cfg.initial, cfg.model.n, seed.child(0).rng())
     traj = run(state, cfg.model, cfg.t_max, cfg.sample_times, seed.child(1),
@@ -309,14 +318,14 @@ def _particle_replica(cfg: RunConfig, rid: int):
         m = cfg.grid.m if cfg.grid is not None else 8
         cells = [empirical_marginal(traj.state_at(t), m, 1, cfg.model.side).counts.sum(axis=3)
                  for t in traj.times]
-    return traj.times, traj.counts, cells
+    return traj.counts, cells
 
 
-def _meanfield_replica(cfg: RunConfig, oracle: FieldOracle, rid: int):
-    seed = SeedSpec(cfg.seed).child(rid)
-    traj = run_ensemble(cfg.model.n, cfg.initial, oracle, cfg.model,
-                        cfg.t_max, cfg.sample_times, seed)
-    return traj.times, traj.counts, []
+def _meanfield_chunk(cfg: RunConfig, oracle: FieldOracle, rids):
+    """The counts of the replicas ``rids``, shape (len(rids), times, 3)."""
+    seeds = [SeedSpec(cfg.seed).child(rid) for rid in rids]
+    return ensemble_counts(cfg.model.n, cfg.initial, oracle, cfg.model,
+                           cfg.t_max, cfg.sample_times, seeds)
 
 
 def _couple_replica(cfg: RunConfig, oracle: FieldOracle, n: int, rid: int):
@@ -328,30 +337,41 @@ def _couple_replica(cfg: RunConfig, oracle: FieldOracle, n: int, rid: int):
 
 
 def _pool_map(task, jobs, threads):
-    """``task`` over ``jobs`` in order.  A pool pickles the task once per
-    chunk and each job on its own, so the jobs are replica ids and the task
-    holds the config and the oracle."""
-    if threads <= 1:
+    """``task`` over ``jobs`` in order, on at most one worker per job.  A
+    pool pickles the task once per chunk and each job on its own, so the
+    jobs are replica ids (or ranges of them) and the task holds the config
+    and the oracle."""
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [task(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
 
 
-def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
-    """Replicated particle or field-driven runs, ``task`` mapping a replica
-    id to its times, counts and cell counts."""
-    results = _pool_map(task, range(cfg.replicas), cfg.threads)
+def _replica_chunks(cfg: RunConfig):
+    """Ranges of replica ids, about replicas / (4 threads) in each: the
+    pool's jobs for ``meanfield``."""
+    size = max(1, cfg.replicas // (4 * cfg.threads))
+    return [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
+
+
+def _write_replicas(cfg: RunConfig, out: Path, files: list, counts, cell_counts=None) -> None:
+    """Observations, cell counts and summary of replicated particle or
+    field-driven runs: ``counts`` of shape (replicas, times, 3) and
+    ``cell_counts``, if given, a list per replica of the (3, m, m) counts per
+    cell at each sample time."""
+    times = check_sample_times(cfg.sample_times, cfg.t_max).tolist()
     rows = []
     cell_rows = []
-    for rid, (times, counts, cell_counts) in enumerate(results):
+    for rid, replica in enumerate(counts.tolist()):
         for j, t in enumerate(times):
-            rows.append((rid, float(t), counts[j, 0], counts[j, 1], counts[j, 2]))
-            if cell_counts:
-                cells = cell_counts[j]
+            rows.append((rid, t, *replica[j]))
+            if cell_counts is not None:
+                cells = cell_counts[rid][j]
                 m = cells.shape[1]
                 for ix in range(m):
                     for iy in range(m):
-                        cell_rows.append((rid, float(t), ix, iy,
+                        cell_rows.append((rid, t, ix, iy,
                                           cells[0, ix, iy], cells[1, ix, iy],
                                           cells[2, ix, iy]))
     _write_csv(out / "observations.csv",
@@ -362,11 +382,10 @@ def _run_particle_like(cfg: RunConfig, out: Path, files: list, task) -> None:
                    ["replica", "time", "ix", "iy", "s", "i", "r"], cell_rows)
         files.append("cells.csv")
     if cfg.replicas >= 2:
-        times = results[0][0]
-        stack = np.array([counts for _, counts, _ in results], dtype=float)
+        stack = counts.astype(float)
         srows = []
         for j, t in enumerate(times):
-            row = [float(t)]
+            row = [t]
             for c in range(3):
                 mean, half, _ = ensemble_aggregate(stack[:, j, c])
                 row += [float(mean[0]), float(half[0])]
@@ -583,10 +602,15 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
     status = 0
     extra = {}
     if cfg.kind == "particle":
-        _run_particle_like(cfg, out, files, functools.partial(_particle_replica, cfg))
+        results = _pool_map(functools.partial(_particle_replica, cfg), range(cfg.replicas),
+                            cfg.threads)
+        _write_replicas(cfg, out, files, np.array([c for c, _ in results]),
+                        [cells for _, cells in results] if cfg.cell_counts else None)
     elif cfg.kind == "meanfield":
         oracle, solver = _solve_oracle(cfg)
-        _run_particle_like(cfg, out, files, functools.partial(_meanfield_replica, cfg, oracle))
+        chunks = _pool_map(functools.partial(_meanfield_chunk, cfg, oracle),
+                           _replica_chunks(cfg), cfg.threads)
+        _write_replicas(cfg, out, files, np.concatenate(chunks))
         extra = {"solver": solver}
     elif cfg.kind == "kinetic":
         extra = _run_kinetic(cfg, out, files)

@@ -177,10 +177,32 @@ class BlockDraws:
         """The sorted times of a Poisson process of the given rate on one window."""
         return start + WINDOW * np.sort(rng.random(rng.poisson(rate * WINDOW)))
 
+    #: The columns that hold agent ids.
+    _AGENT_IDS = ("jump_agent", "tick_agent", "prop_agent", "prop_partner")
+
+    @classmethod
+    def stack(cls, draws, n: int) -> "BlockDraws":
+        """The draws of replicas of n agents each as those of one run of
+        len(draws) * n agents: each column joined replica by replica, with
+        replica r's agent and partner ids offset by r * n.  The times are
+        then in time order within each replica only."""
+        out = cls.__new__(cls)
+        for name in vars(draws[0]):
+            cols = [getattr(d, name) for d in draws]
+            if name in cls._AGENT_IDS:
+                cols = [c + r * n for r, c in enumerate(cols)]
+            setattr(out, name, np.concatenate(cols))
+        return out
+
+
+def concat(parts):
+    """The arrays joined end to end; a lone array is returned as it is."""
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
 
 def _join(windows, t_max):
     """The windows of one kind in one set of arrays, cut before t_max."""
-    cols = [np.concatenate(c) if len(c) > 1 else c[0] for c in zip(*windows)]
+    cols = [concat(c) for c in zip(*windows)]
     if cols[0].size and cols[0][-1] >= t_max:
         end = int(cols[0].searchsorted(t_max))
         cols = [c[:end] for c in cols]
@@ -246,7 +268,8 @@ class Path:
         return self._advance(seg, s), self.theta[seg]
 
     def jumps_before(self, s: float) -> int:
-        return int(self.jump_t.searchsorted(s))
+        # counted, not searched: jumps of stacked replicas are not in time order
+        return int(np.count_nonzero(self.jump_t < s))
 
     def near(self, agent, partner, t, radius: float):
         """Per proposal: the partner is another agent, in range at time t."""
@@ -264,13 +287,22 @@ class Path:
 
 
 def label_free_pass(x, theta, t0: float, t_max: float, params: ModelParams,
-                    rng: np.random.Generator, pair: bool = False):
-    """Draw a run's label-free variates and build its paths.
+                    rngs, pair: bool = False):
+    """Draw the label-free variates of one or more replicas and build their
+    paths.
 
-    Returns the ``Path`` and the proposals (time, agent, partner, u) in time
-    order.  The jump arrays are dropped once the paths hold them.
+    ``rngs`` holds one generator per replica; ``x`` and ``theta`` hold the
+    replicas' agents, n each, replica by replica.  Replica r draws its own
+    ``BlockDraws`` from ``rngs[r]``, so it is the run of that generator
+    alone, and its agents and partners are numbered from r * n on
+    (``BlockDraws.stack``).  Returns the one ``Path`` of all agents and the
+    proposals (time, agent, partner, u), in time order within each replica.
+    A single replica's arrays are used as drawn.  The jump arrays are
+    dropped once the paths hold them.
     """
-    draws = BlockDraws(rng, theta.shape[0], params, t0, t_max, pair)
+    n = theta.shape[0] // len(rngs)
+    draws = [BlockDraws(rng, n, params, t0, t_max, pair) for rng in rngs]
+    draws = BlockDraws.stack(draws, n) if len(draws) > 1 else draws[0]
     return (Path(x, theta, t0, params.side, draws),
             (draws.prop_t, draws.prop_agent, draws.prop_partner, draws.prop_u))
 

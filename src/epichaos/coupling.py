@@ -178,7 +178,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     oracle.check_span(0.0, t_max)
     n = initial.n
     path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                             params, seed.rng())
+                                             params, [seed.rng()])
     a, b = LabelTimes(initial.a, path), LabelTimes(initial.b, path)
     near = path.near(pa, pp, pt, params.radius)
     q_cap = oracle.probe_cap

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, Label
+from .core import TWO_PI
 
 NORMALIZATION_TOL = 1e-9
 
@@ -67,6 +67,11 @@ class InitialCondition:
                 f"label fractions must sum to 1 within {NORMALIZATION_TOL}")
         if not (self.velocity == "uniform" or np.isscalar(self.velocity)):
             raise InitialConditionError("velocity must be 'uniform' or an angle")
+        # the sampling tables, built once: each cell's probability, and its
+        # label thresholds S and S + I
+        fr = self.cell_fractions().reshape(-1, 3)
+        object.__setattr__(self, "_cell_p", self.cell_probabilities().ravel())
+        object.__setattr__(self, "_thresholds", np.stack([fr[:, 0], fr[:, 0] + fr[:, 1]], axis=1))
 
     def _weights(self):
         return None if self.weights is None else np.asarray(self.weights, dtype=float)
@@ -104,8 +109,8 @@ class InitialCondition:
         """Draw n i.i.d. agents; returns (positions (n,2), angles (n,), labels (n,))."""
         m0 = self.m0
         h = self.side / m0
-        p = self.cell_probabilities().ravel()
-        cells = rng.choice(m0 * m0, size=n, p=p) if m0 > 1 else np.zeros(n, dtype=np.int64)
+        cells = (rng.choice(m0 * m0, size=n, p=self._cell_p) if m0 > 1
+                 else np.zeros(n, dtype=np.int64))
         cx, cy = np.divmod(cells, m0)
         x = np.empty((n, 2))
         x[:, 0] = (cx + rng.random(n)) * h
@@ -114,11 +119,11 @@ class InitialCondition:
             theta = rng.random(n) * TWO_PI
         else:
             theta = np.full(n, float(self.velocity) % TWO_PI)
-        fr = self.cell_fractions().reshape(m0 * m0, 3)[cells]
+        th = self._thresholds if m0 == 1 else self._thresholds[cells]
         u = rng.random(n)
-        labels = np.where(u < fr[:, 0], Label.S,
-                          np.where(u < fr[:, 0] + fr[:, 1], Label.I, Label.R))
-        return x, theta, labels.astype(np.int8)
+        # S, I, R = 0, 1, 2 counts the thresholds u is not below
+        labels = 2 - (u < th[:, 0]).view(np.int8) - (u < th[:, 1]).view(np.int8)
+        return x, theta, labels
 
     def field_values(self, m: int, k: int) -> np.ndarray:
         """Project onto a solver grid: (3, m, m, k) density per (area x angle).

@@ -144,7 +144,7 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
     st = check_sample_times(sample_times, t_max)
     pair = interaction == "pair"
     path, (pt, pa, pp, _) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                            params, seed.rng(), pair)
+                                            params, [seed.rng()], pair)
     lab = LabelTimes(initial.labels, path)
     inf, rec = lab.inf, lab.rec
     near = path.near(pa, pp, pt, params.radius)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import epichaos
-from epichaos import ConfigError, DiscKernel, field_from_initial, solve
-from epichaos.cli import fit_loglog_slope, main, parse_config
+from epichaos import ConfigError, DiscKernel, SeedSpec, field_from_initial, run_ensemble, solve
+from epichaos import meanfield
+from epichaos.cli import _solve_oracle, fit_loglog_slope, main, parse_config
 
 MINIMAL = """
 [model]
@@ -118,15 +120,91 @@ def test_particle_experiment_reproducible(tmp_path):
     assert len(summary) == 4
 
 
+WEIGHTED = FULL.replace("[initial]", "[initial]\nweights = 1 2; 3 4").replace(
+    "n = 60", "n = 5").replace("replicas = 3", "replicas = 30")
+
+
 def test_thread_pool_does_not_change_output(tmp_path):
+    # meanfield's jobs are chunks of replicas, 7 at one thread and 2 at three
+    for kind, text in (("particle", FULL), ("meanfield", WEIGHTED)):
+        cfg_path = tmp_path / f"{kind}.ini"
+        cfg_path.write_text(text)
+        main([kind, "--config", str(cfg_path), "--out", str(tmp_path / kind / "s"),
+              "--threads", "1"])
+        main([kind, "--config", str(cfg_path), "--out", str(tmp_path / kind / "p"),
+              "--threads", "3"])
+        for name in ("observations.csv", "summary.csv"):
+            assert (tmp_path / kind / "s" / name).read_bytes() == \
+                (tmp_path / kind / "p" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [FULL.replace("replicas = 3", "replicas = 30"), WEIGHTED],
+                         ids=["uniform", "weights"])
+def test_meanfield_replicas_equal_one_run_per_seed(tmp_path, monkeypatch, text):
+    # jobs of 7 replicas (30 // 4) run in passes of 3: replica r is still
+    # run_ensemble with its own seed
+    cfg = parse_config(text, "meanfield")
+    monkeypatch.setattr(meanfield, "CHUNK_AGENTS", 3 * cfg.model.n)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    assert main(["meanfield", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    rows = np.loadtxt(tmp_path / "o" / "observations.csv", delimiter=",", skiprows=1)
+    oracle, _ = _solve_oracle(cfg)
+    want = [[rid, t, *c] for rid in range(cfg.replicas)
+            for t, c in zip(cfg.sample_times,
+                            run_ensemble(cfg.model.n, cfg.initial, oracle, cfg.model, cfg.t_max,
+                                         cfg.sample_times,
+                                         SeedSpec(cfg.seed).child(rid)).counts.tolist())]
+    assert rows.tolist() == want
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("kind,replicas,threads,workers", [
+    ("particle", 2, 64, [2]), ("meanfield", 5, 64, [5]), ("particle", 3, 2, [2]),
+    ("meanfield", 1, 8, []), ("couple", 2, 16, [2])])
+def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, kind, replicas, threads,
+                                               workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(FULL)
-    main(["particle", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
-          "--threads", "1"])
-    main(["particle", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
-          "--threads", "3"])
-    assert (tmp_path / "s" / "observations.csv").read_bytes() == \
-        (tmp_path / "p" / "observations.csv").read_bytes()
+    assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--replicas", str(replicas), "--threads", str(threads)]) == 0
+    assert _RecordingPool.sizes == workers
+
+
+@pytest.mark.parametrize("value,parsed", [
+    ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+    ("false", False), ("No", False), ("0", False), ("FaLsE", False),
+    ("ture", None), ("on", None), ("2", None), ("", None)])
+def test_cell_counts_accepts_only_booleans(tmp_path, capsys, value, parsed):
+    text = FULL + f"cell_counts = {value}\n"
+    if parsed is not None:
+        assert parse_config(text, "particle").cell_counts is parsed
+        return
+    with pytest.raises(ConfigError, match="run.cell_counts"):
+        parse_config(text, "particle")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    assert main(["particle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "run.cell_counts" in capsys.readouterr().err
 
 
 def test_couple_experiment_emits_expected_files(tmp_path):

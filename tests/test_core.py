@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from epichaos import EnsembleState, ModelParams, SeedSpec, in_range, run, wrap
-from epichaos.core import WINDOW, BlockDraws, TWO_PI, torus_distance, unit_vector
+from epichaos.core import (WINDOW, BlockDraws, TWO_PI, label_free_pass, torus_distance,
+                           unit_vector)
 
 SIDE = 1.0
 
@@ -190,6 +191,41 @@ def test_block_draws_windows_do_not_depend_on_the_horizon():
     # window k holds about rate * WINDOW events of each kind
     assert np.all(np.diff(np.floor((full.jump_t - t0) / WINDOW)) >= 0)
     assert abs(full.jump_t.size - 3 * n * WINDOW) < 5 * math.sqrt(3 * n * WINDOW)
+
+
+def test_label_free_pass_stacks_replicas_as_drawn():
+    # three replicas of n agents in one pass: each is the pass of its own
+    # generator alone, with its agents numbered from r * n on
+    n, reps, t0, t_max = 6, 3, 0.25, 2.6
+    params = draw_params(n, lam=3.0, gamma=1.0)
+    rng = np.random.default_rng(4)
+    x, theta = rng.random((reps * n, 2)), rng.random(reps * n) * TWO_PI
+    specs = [SeedSpec(9, (r,)) for r in range(reps)]
+    path, props = label_free_pass(x, theta, t0, t_max, params, [s.rng() for s in specs])
+    assert path.n == reps * n
+    start = jumps = 0
+    for r, spec in enumerate(specs):
+        one = slice(r * n, (r + 1) * n)
+        alone, alone_props = label_free_pass(x[one], theta[one], t0, t_max, params,
+                                             [spec.rng()])
+        mine = slice(start, start + alone_props[0].size)
+        start = mine.stop
+        assert np.array_equal(props[0][mine], alone_props[0])
+        assert np.array_equal(props[1][mine], alone_props[1] + r * n)
+        assert np.array_equal(props[2][mine], alone_props[2] + r * n)
+        assert np.array_equal(props[3][mine], alone_props[3])
+        for s in (t0, 1.0, 1.7, t_max):
+            got_x, got_theta = path.state_at(s)
+            want_x, want_theta = alone.state_at(s)
+            assert np.array_equal(got_x[one], want_x)
+            assert np.array_equal(got_theta[one], want_theta)
+            agents = np.arange(n)
+            assert np.array_equal(path.recovery_after(agents + r * n, s),
+                                  alone.recovery_after(agents, s))
+        jumps += alone.jumps_before(1.7)
+    assert start == props[0].size
+    # the stacked jump times are in time order within each replica only
+    assert path.jumps_before(1.7) == jumps
 
 
 def test_model_params_validation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from epichaos import (GridError, GridSpec, InitialCondition, InitialConditionError, SeedSpec,
-                      field_from_initial, uniform_sir)
+from epichaos import (GridError, GridSpec, InitialCondition, InitialConditionError, Label,
+                      SeedSpec, field_from_initial, uniform_sir)
+from epichaos.core import TWO_PI
 
 
 def test_rejects_bad_fractions():
@@ -119,3 +120,39 @@ def test_independent_streams_give_uncorrelated_ensembles():
         counts[r] = [(la == 1).sum(), (lb == 1).sum()]
     corr = np.corrcoef(counts[:, 0], counts[:, 1])[0, 1]
     assert abs(corr) < 3.0 / np.sqrt(pairs)
+
+
+_CELL_FRACTIONS = np.stack([np.tile([0.2, 0.5, 0.3], (3, 1)),
+                            np.tile([0.5, 0.0, 0.5], (3, 1)),
+                            np.tile([0.0, 1.0, 0.0], (3, 1))])
+
+
+@pytest.mark.parametrize("ic", [
+    uniform_sir(1.0, 0.5, 0.4, 0.1),
+    InitialCondition(side=2.0, fractions=(0.6, 0.3, 0.1), weights=[[1, 2], [3, 4]],
+                     velocity=1.3),
+    InitialCondition(side=1.5, fractions=_CELL_FRACTIONS, weights=np.arange(9.0).reshape(3, 3)),
+], ids=["uniform", "weights", "cell-fractions"])
+def test_sample_follows_its_draw_order_and_label_rule(ic):
+    # cells (no draw for a single cell), x, y, heading, then one uniform u
+    # per agent: S if u < s, I if u < s + i, else R, with the fractions of
+    # the agent's cell
+    n = 2000
+    x, theta, labels = ic.sample(n, SeedSpec(8).rng())
+    rng = SeedSpec(8).rng()
+    m0, h = ic.m0, ic.side / ic.m0
+    cells = (rng.choice(m0 * m0, size=n, p=ic.cell_probabilities().ravel()) if m0 > 1
+             else np.zeros(n, dtype=np.int64))
+    cx, cy = np.divmod(cells, m0)
+    assert np.array_equal(x[:, 0], (cx + rng.random(n)) * h)
+    assert np.array_equal(x[:, 1], (cy + rng.random(n)) * h)
+    if ic.velocity == "uniform":
+        assert np.array_equal(theta, rng.random(n) * TWO_PI)
+    else:
+        assert np.all(theta == ic.velocity)
+    fr = ic.cell_fractions().reshape(-1, 3)[cells]
+    u = rng.random(n)
+    want = np.where(u < fr[:, 0], Label.S, np.where(u < fr[:, 0] + fr[:, 1], Label.I, Label.R))
+    assert labels.dtype == np.int8
+    assert np.array_equal(labels, want)
+    assert set(labels.tolist()) == {0, 1, 2}

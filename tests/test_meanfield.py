@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from epichaos import (FieldOracle, GridSpec, Label, ModelParams, OracleSpanError,
-                      SeedSpec, constant_oracle, field_from_initial, run_ensemble,
-                      solve, uniform_sir)
+from epichaos import (Counters, FieldOracle, GridSpec, InitialCondition, Label, ModelParams,
+                      OracleSpanError, SeedSpec, constant_oracle, ensemble_counts,
+                      field_from_initial, run_ensemble, solve, uniform_sir)
+from epichaos import meanfield
 
 SIDE = 1.0
 
@@ -191,3 +192,65 @@ def test_ensemble_requires_covering_oracle():
     with pytest.raises(OracleSpanError):
         run_ensemble(10, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc,
                      make_params(), 1.0, [1.0], SeedSpec(10))
+
+
+def _varied_oracle():
+    rng = np.random.default_rng(14)
+    return FieldOracle(np.array([0.0, 0.6, 1.5]), rng.random((3, 4, 4)) * 0.8, SIDE)
+
+
+WEIGHTED = InitialCondition(side=SIDE, fractions=(0.6, 0.3, 0.1), weights=[[1, 2], [3, 4]])
+
+# run_ensemble's outputs at two seeds, as the one-replica-per-call code
+# computed them (numpy 2.4, x86-64)
+PINNED = {
+    3: ([[1, 4, 1], [0, 2, 4], [0, 2, 4]],
+        [(0.5662294959692462, 0.45083891611637195), (0.11474590691537626, 0.6478196324619889),
+         (0.5522033882054559, 0.026792798098850434), (0.3433754334072206, 0.6554859859712245),
+         (0.5476077932205551, 0.02079046357395481), (0.8387107317171564, 0.9371757590794634)],
+        [1, 2, 1, 2, 2, 2], Counters(11, 3, 30, 1)),
+    4: ([[2, 2, 2], [1, 3, 2], [1, 2, 3]],
+        [(0.09255320746927698, 0.7705703133224335), (0.9896711803396627, 0.3563816155184907),
+         (0.06798030158771451, 0.7512473105607329), (0.1690559356056177, 0.8615455496548017),
+         (0.7523326597221416, 0.9670395939498974), (0.9692658703387779, 0.9925829897050816)],
+        [2, 0, 1, 2, 1, 2], Counters(10, 1, 26, 1)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_run_ensemble_keeps_its_pinned_outputs(seed):
+    counts, x, labels, counters = PINNED[seed]
+    params = make_params(lam=3.0, gamma=1.0, n=6)
+    traj = run_ensemble(6, WEIGHTED, _varied_oracle(), params, 1.5, [0.0, 0.75, 1.5],
+                        SeedSpec(seed))
+    assert traj.counts.tolist() == counts
+    assert traj.final.x.tolist() == [list(p) for p in x]
+    assert traj.final.labels.tolist() == labels
+    assert traj.final.counters == counters
+
+
+@pytest.mark.parametrize("ic", [uniform_sir(SIDE, 0.5, 0.4, 0.1), WEIGHTED],
+                         ids=["uniform", "weights"])
+@pytest.mark.parametrize("per_pass", [1, 7, 40])
+def test_ensemble_counts_equal_one_run_per_seed(monkeypatch, ic, per_pass):
+    n, reps = 5, 40
+    monkeypatch.setattr(meanfield, "CHUNK_AGENTS", per_pass * n)
+    orc = _varied_oracle()
+    params = make_params(lam=3.0, gamma=1.0, n=n)
+    seeds = [SeedSpec(21).child(r) for r in range(reps)]
+    counts = ensemble_counts(n, ic, orc, params, 1.5, [0.0, 0.75, 1.5], seeds)
+    assert counts.shape == (reps, 3, 3) and counts.dtype == np.int64
+    for r, seed in enumerate(seeds):
+        one = run_ensemble(n, ic, orc, params, 1.5, [0.0, 0.75, 1.5], seed).counts
+        assert np.array_equal(counts[r], one)
+    # the chunk's agents met the field: some were infected during the run
+    assert counts[:, -1, 0].sum() < counts[:, 0, 0].sum()
+
+
+def test_ensemble_counts_check_their_inputs():
+    orc = constant_oracle(SIDE, 0.3, 0.5)
+    with pytest.raises(OracleSpanError):
+        ensemble_counts(10, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc, make_params(), 1.0, [1.0],
+                        [SeedSpec(10)])
+    assert ensemble_counts(10, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc, make_params(), 0.5,
+                           [0.5], []).shape == (0, 1, 3)
