@@ -234,6 +234,8 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
             fail("run.sample_times", str(exc))
     if snapshot_times is None and t_max is not None:
         snapshot_times = [t_max]
+    if seed is not None and seed < 0:
+        fail("run.seed", f"must be >= 0, got {seed}")
     if replicas is not None and replicas < 1:
         fail("run.replicas", f"must be >= 1, got {replicas}")
     if n_values and min(n_values) < 1:
@@ -303,7 +305,7 @@ def _solve_oracle(cfg: RunConfig):
     kernel = DiscKernel(cfg.grid.m, cfg.grid.side, cfg.model.radius)
     solver = {**_solver_stats(traj),
               "lattice_disc_area_ratio": kernel.disc_area / (math.pi * cfg.model.radius ** 2)}
-    return FieldOracle(traj.nf_times, traj.nf_values, cfg.model.side), solver
+    return FieldOracle.from_trajectory(traj), solver
 
 
 def _particle_replica(cfg: RunConfig, rid: int):

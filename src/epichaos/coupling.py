@@ -16,14 +16,14 @@ the quantity the bound and scaling experiments measure.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .core import LabelTimes, ModelParams, Path, SeedSpec, in_range, label_free_pass, wrap
+from .core import LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass, wrap
 from .initial import InitialCondition
 from .meanfield import FieldOracle
-from .particle import Counters, check_sample_times, check_state_time, counters_at
+from .particle import (Counters, Trajectory, check_sample_times, check_state_time,
+                       counters_at, label_counts, resolve_infections)
 
 
 @dataclass
@@ -109,49 +109,36 @@ class Channels:
 
 
 @dataclass
-class CoupledTrajectory:
-    """The solution of one paired run on [t0, t_max]: the shared ``Path``,
-    both label systems as ``LabelTimes``, the proposal times and the
-    b-attempt channel counts, with the mismatch fraction and both systems'
-    (S, I, R) counts at the sample ``times``.  Any other state is a
-    ``state_at`` query."""
+class CoupledTrajectory(Trajectory):
+    """The solution of one paired run: a ``Trajectory`` whose ``labels`` are
+    the a system, with the b system, the b-attempt channel counts, and the
+    mismatch fraction and b's (S, I, R) counts at the sample ``times``."""
 
-    times: np.ndarray
-    path: Path
-    a: LabelTimes
     b: LabelTimes
-    prop_t: np.ndarray
-    t_max: float
     channels: Channels
     mismatch: np.ndarray = field(init=False)
-    counts_a: np.ndarray = field(init=False)
     counts_b: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mism, rows_a, rows_b = [], [], []
-        for s in self.times:
-            la, lb = self.a.at(s), self.b.at(s)
-            mism.append(mismatch_fraction(la, lb))
-            rows_a.append(np.bincount(la, minlength=3))
-            rows_b.append(np.bincount(lb, minlength=3))
-        self.mismatch = np.asarray(mism)
-        self.counts_a = np.asarray(rows_a, dtype=np.int64).reshape(-1, 3)
-        self.counts_b = np.asarray(rows_b, dtype=np.int64).reshape(-1, 3)
+        super().__post_init__()
+        self.counts_b = label_counts(self.b, self.times)
+        self.mismatch = np.asarray([mismatch_fraction(self.labels.at(s), self.b.at(s))
+                                    for s in self.times])
+
+    @property
+    def counts_a(self) -> np.ndarray:
+        return self.counts
 
     def state_at(self, s: float) -> CoupledEnsemble:
         """Shared positions and headings, both label vectors and the event
         counts at time s."""
-        path, a, b = self.path, self.a, self.b
+        path, a, b = self.path, self.labels, self.b
         check_state_time(s, path.t0, self.t_max)
         cnt = counters_at(path, self.prop_t, a, s)
         # a recovery tick at which both labels recovered counts once
         cnt.recoveries += b.recovered_before(s) - int(np.count_nonzero(
             (a.rec == b.rec) & (a.rec >= path.t0) & (a.rec < s)))
         return CoupledEnsemble(*path.state_at(s), a.at(s), b.at(s), s, cnt)
-
-    @cached_property
-    def final(self) -> CoupledEnsemble:
-        return self.state_at(self.t_max)
 
 
 def sample_coupled_initial(ic: InitialCondition, n: int,
@@ -166,11 +153,11 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     """Event-driven run of the paired process.
 
     Flight, recovery clocks and proposals are the label-free pass of the
-    per-agent form, so the a-labels are those of ``run`` on the same seed.
-    This loop visits, in time order, only the proposals whose partner is
-    in range or whose u is below ``oracle.probe_cap``: no other proposal
-    can flip a label.  A proposal reads a label system only where agent i
-    is susceptible.  The b-attempt looks up q only where the partner check
+    per-agent form, and ``resolve_infections`` gives the a-labels of ``run``
+    on the same seed.  The labels never read each other, so this loop decides
+    only b.  It visits, in time order, only the proposals whose partner is
+    in range or whose u is below ``oracle.probe_cap``: no other proposal can
+    flip a b label.  The b-attempt looks up q only where the partner check
     and u do not settle it against the largest record value, and counts p
     over the b-infected agents only where q does not settle it either.
     """
@@ -181,6 +168,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                                              params, [seed.rng()])
     a, b = LabelTimes(initial.a, path), LabelTimes(initial.b, path)
     near = path.near(pa, pp, pt, params.radius)
+    resolve_infections(a, pt[near], pa[near], pp[near])
     q_cap = oracle.probe_cap
     visit = np.flatnonzero(near | (pu < q_cap))
     xi = path.positions(pa[visit], pt[visit])
@@ -191,11 +179,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
                                       pp[visit].tolist(), pu[visit].tolist(),
                                       near[visit].tolist(), xi[:, 0].tolist(),
                                       xi[:, 1].tolist()):
-        a_s = a.inf[i] >= t
-        b_s = b.inf[i] >= t
-        if a_s and close and a.inf[j] < t <= a.rec[j]:
-            a.infect(i, t)
-        if not b_s:
+        if b.inf[i] < t:
             continue
         # without the partner check, u >= q_cap settles the b-attempt before
         # q is looked up; b_shortcut settles most of the rest before p is
@@ -224,6 +208,6 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
 
     # a proposal reached a b-susceptible agent up to and at its b infection
     b_prop = int(np.count_nonzero(b.inf[pa] >= pt))
-    return CoupledTrajectory(st.copy(), path, a, b, pt, t_max,
+    return CoupledTrajectory(st.copy(), path, a, pt, t_max, b,
                              Channels(b_prop, n_probe, n_scan, partner_fires,
                                       residual_fires, thinned))

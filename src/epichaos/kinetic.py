@@ -301,16 +301,14 @@ def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: fl
     return KineticField(_from_working(out), fld.side, fld.t)
 
 
-def infection_intensity(fld: KineticField, r0: float,
-                        kernel: DiscKernel | None = None) -> np.ndarray:
+def infection_intensity(fld: KineticField, r0: float) -> np.ndarray:
     """Dimensionless interaction intensity grid in [0, 1].
 
     Spectral convolution of the angle-integrated infected density with the
     disc indicator of radius r0; bit-identical to the intensity ``solve``
     records for the same field.
     """
-    if kernel is None:
-        kernel = DiscKernel(fld.m, fld.side, r0)
+    kernel = DiscKernel(fld.m, fld.side, r0)
     return _intensity(kernel, _densities(_to_working(fld.values), TWO_PI / fld.k)[1])
 
 
@@ -346,7 +344,7 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
           snapshot_times=(), nf_stride: int = 10) -> FieldTrajectory:
     """Integrate to t_max with Strang splitting on the grid's dt.
 
-    Snapshot times must sit on the step grid.  ``nf_stride`` controls how
+    Snapshot times must sit on distinct grid steps.  ``nf_stride`` controls how
     densely the intensity record is sampled (every that many steps).  With
     zero infection and recovery rates the reaction steps are exact
     identities, so the solve is the pure transport-scattering flow.
@@ -357,7 +355,9 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
     snap_times = np.asarray(sorted(snapshot_times), dtype=float)
     if snap_times.size and (snap_times[0] < 0 or snap_times[-1] > t_max):
         raise GridError(f"snapshot times must lie in [0, {t_max}]")
-    snap_steps = {_on_step_grid(t, grid.dt): t for t in snap_times}
+    snap_steps = {_on_step_grid(t, grid.dt) for t in snap_times}
+    if len(snap_steps) < snap_times.size:
+        raise GridError("snapshot times must fall on distinct steps")
 
     kernel = DiscKernel(grid.m, grid.side, params.radius)
     dt, half, h, dtheta = grid.dt, 0.5 * grid.dt, grid.h, grid.dtheta

@@ -101,6 +101,12 @@ def counters_at(path: Path, prop_t, labels: LabelTimes, s: float) -> Counters:
                     int(prop_t.searchsorted(s)), labels.infected_before(s))
 
 
+def label_counts(labels: LabelTimes, times) -> np.ndarray:
+    """The (S, I, R) counts of one label system at each of the times."""
+    rows = [np.bincount(labels.at(s), minlength=3) for s in times]
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
 @dataclass
 class Trajectory:
     """The solution of one run on [t0, t_max]: its ``Path``, its labels as
@@ -115,8 +121,7 @@ class Trajectory:
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        counts = [np.bincount(self.labels.at(s), minlength=3) for s in self.times]
-        self.counts = np.asarray(counts, dtype=np.int64).reshape(-1, 3)
+        self.counts = label_counts(self.labels, self.times)
 
     def state_at(self, s: float) -> EnsembleState:
         """Positions, headings, labels and event counts at time s."""
@@ -129,11 +134,24 @@ class Trajectory:
         return self.state_at(self.t_max)
 
 
+def resolve_infections(labels: LabelTimes, times, agents, partners,
+                       pair: bool = False) -> None:
+    """Resolve in-range proposals, given in time order, on one label system:
+    a susceptible agent is infected by an infected partner."""
+    inf, rec = labels.inf, labels.rec
+    for t, i, j in zip(times.tolist(), agents.tolist(), partners.tolist()):
+        # the pair form orients the pair so i is the S member
+        if pair and inf[i] < t <= rec[i] and inf[j] >= t:
+            i, j = j, i
+        if inf[i] >= t and inf[j] < t <= rec[j]:
+            labels.infect(i, t)
+
+
 def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
         seed: SeedSpec, interaction: str = "per_agent") -> Trajectory:
     """Event-driven run to time t_max with counts at the sample times.
 
-    Flight, recovery clocks and proposals are the label-free pass; this loop
+    Flight, recovery clocks and proposals are the label-free pass; one loop
     resolves, in time order, only the proposals whose partner is another
     agent in range.  Identical initial state, parameters and seed give a
     bit-identical trajectory, and the path on [0, s] is the same for every
@@ -146,12 +164,6 @@ def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
     path, (pt, pa, pp, _) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
                                             params, [seed.rng()], pair)
     lab = LabelTimes(initial.labels, path)
-    inf, rec = lab.inf, lab.rec
     near = path.near(pa, pp, pt, params.radius)
-    for t, i, j in zip(pt[near].tolist(), pa[near].tolist(), pp[near].tolist()):
-        # the pair form orients the pair so i is the S member
-        if pair and inf[i] < t <= rec[i] and inf[j] >= t:
-            i, j = j, i
-        if inf[i] >= t and inf[j] < t <= rec[j]:
-            lab.infect(i, t)
+    resolve_infections(lab, pt[near], pa[near], pp[near], pair)
     return Trajectory(st.copy(), path, lab, pt, t_max)

@@ -239,6 +239,17 @@ def test_kinetic_experiment_writes_snapshots(tmp_path):
         assert (out / line.split(",")[1]).exists()
 
 
+@pytest.mark.parametrize("times", ["0.1 0.1 0.2", "0.1 0.1000000000001 0.2"])
+def test_kinetic_rejects_two_snapshot_times_on_one_step(tmp_path, capsys, times):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("dt = 1e-2", "dt = 0.05")
+                        + f"snapshot_times = {times}\n")
+    out = tmp_path / "o"
+    assert main(["kinetic", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "distinct steps" in capsys.readouterr().err
+    assert not list(out.glob("field_*.bin"))
+
+
 def test_study_experiment_fits_slope(tmp_path):
     cfg_path = tmp_path / "c.ini"
     # lambda = 4 and r0 = 0.2: a replica at n = 30 has a mismatch by t = 0.25
@@ -423,12 +434,14 @@ def test_study_needs_two_distinct_agent_counts(tmp_path, capsys, counts):
 
 
 @pytest.mark.parametrize("kind,flag", [("particle", "--replicas"), ("couple", "--replicas"),
-                                       ("study", "--replicas"), ("particle", "--threads")])
+                                       ("study", "--replicas"), ("particle", "--threads"),
+                                       ("particle", "--seed")])
 def test_count_overrides_are_validated(tmp_path, capsys, kind, flag):
+    bad = {"--replicas": "0", "--threads": "0", "--seed": "-1"}[flag]
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(FULL + "n_values = 30 60\n")
     out = tmp_path / "o"
-    assert main([kind, "--config", str(cfg_path), "--out", str(out), flag, "0"]) == 2
+    assert main([kind, "--config", str(cfg_path), "--out", str(out), flag, bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"run.{flag[2:]}" in err
     assert not out.exists()

@@ -269,6 +269,14 @@ def test_solve_rejects_off_grid_snapshots():
         solve(fld, make_params(), grid, 1.0, snapshot_times=[2.0])
 
 
+@pytest.mark.parametrize("times", [[0.1, 0.1, 0.2], [0.1, 0.1000000000001, 0.2]])
+def test_solve_rejects_two_snapshots_on_one_step(times):
+    # one step holds one snapshot, so a second time on it would have none
+    grid = GridSpec(m=8, k=4, dt=5e-2, side=SIDE)
+    with pytest.raises(GridError, match="distinct steps"):
+        solve(smooth_field(8, 4), make_params(), grid, 0.2, snapshot_times=times)
+
+
 def test_splitting_is_second_order_in_dt():
     # axis headings and dt multiples of the cell size: transport reduces to
     # exact rolls, so the dt sweep isolates the splitting error
