@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,10 @@ import numpy as np
 from . import __version__, oracles
 from .core import Label, ModelParams, SeedSpec, TWO_PI, torus_distance
 from .initial import InitialCondition, InitialConditionError
-from .kinetic import (DiscKernel, GridError, GridSpec, field_from_initial, save_field,
-                      solve)
+from .kinetic import (DiscKernel, GridError, GridSpec, KineticField, field_from_initial,
+                      save_field, solve)
 from .meanfield import FieldOracle, constant_oracle, ensemble_counts, run_ensemble
-from .coupling import mismatch_bound, run_coupled, sample_coupled_initial
+from .coupling import Channels, mismatch_bound, run_coupled, sample_coupled_initial
 from .observables import empirical_marginal, ensemble_aggregate
 from .particle import ConfigError, check_sample_times, run, sample_initial
 
@@ -308,153 +308,162 @@ def _solve_oracle(cfg: RunConfig):
     return FieldOracle.from_trajectory(traj), solver
 
 
-def _particle_replica(cfg: RunConfig, rid: int):
-    """Counts and, with ``cell_counts``, the (3, m, m) label counts per cell
-    at each sample time of one replica."""
-    seed = SeedSpec(cfg.seed).child(rid)
-    state = sample_initial(cfg.initial, cfg.model.n, seed.child(0).rng())
-    traj = run(state, cfg.model, cfg.t_max, cfg.sample_times, seed.child(1),
-               interaction=cfg.interaction)
-    cells = []
-    if cfg.cell_counts:
-        m = cfg.grid.m if cfg.grid is not None else 8
-        cells = [empirical_marginal(traj.state_at(t), m, 1, cfg.model.side).counts.sum(axis=3)
-                 for t in traj.times]
-    return traj.counts, cells
+def _rows(*columns):
+    """Table rows from equal-shape columns, each read in C order.  ``tolist``
+    gives Python ints and floats, which ``_fmt`` writes as it writes
+    numbers computed in Python."""
+    return list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+
+
+def _particle_chunk(cfg: RunConfig, rids):
+    """The counts of the replicas ``rids``, shape (len(rids), times, 3), and
+    with ``cell_counts`` their label counts per cell, (len(rids), times, 3,
+    m, m); one ``run`` per replica."""
+    m = cfg.grid.m if cfg.grid is not None else 8
+    counts, cells = [], []
+    for rid in rids:
+        seed = SeedSpec(cfg.seed).child(rid)
+        state = sample_initial(cfg.initial, cfg.model.n, seed.child(0).rng())
+        traj = run(state, cfg.model, cfg.t_max, cfg.sample_times, seed.child(1),
+                   interaction=cfg.interaction)
+        counts.append(traj.counts)
+        if cfg.cell_counts:
+            cells.append([empirical_marginal(traj.state_at(t), m, 1, cfg.model.side)
+                          .counts.sum(axis=3) for t in traj.times])
+    return np.array(counts), np.array(cells)
 
 
 def _meanfield_chunk(cfg: RunConfig, oracle: FieldOracle, rids):
-    """The counts of the replicas ``rids``, shape (len(rids), times, 3)."""
+    """The counts of the replicas ``rids``, shape (len(rids), times, 3), as
+    the one array of a chunk's results."""
     seeds = [SeedSpec(cfg.seed).child(rid) for rid in rids]
-    return ensemble_counts(cfg.model.n, cfg.initial, oracle, cfg.model,
-                           cfg.t_max, cfg.sample_times, seeds)
+    return (ensemble_counts(cfg.model.n, cfg.initial, oracle, cfg.model,
+                            cfg.t_max, cfg.sample_times, seeds),)
 
 
-def _couple_replica(cfg: RunConfig, oracle: FieldOracle, n: int, rid: int):
-    seed = SeedSpec(cfg.seed).child(n, rid)
-    state = sample_coupled_initial(cfg.initial, n, seed.child(0).rng())
-    traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
-                       cfg.sample_times, seed.child(1))
-    return traj.times, traj.mismatch, traj.counts_a, traj.counts_b, asdict(traj.channels)
+def _couple_chunk(cfg: RunConfig, oracle: FieldOracle, n: int, rids):
+    """The mismatch (len(rids), times), the a and b counts (len(rids), times,
+    3) and the b channel counts (len(rids), channels) of the paired runs
+    ``rids`` at n agents; one ``run_coupled`` per replica."""
+    results = []
+    for rid in rids:
+        seed = SeedSpec(cfg.seed).child(n, rid)
+        state = sample_coupled_initial(cfg.initial, n, seed.child(0).rng())
+        traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
+                           cfg.sample_times, seed.child(1))
+        results.append((traj.mismatch, traj.counts_a, traj.counts_b,
+                        astuple(traj.channels)))
+    return [np.array(part) for part in zip(*results)]
 
 
 def _pool_map(task, jobs, threads):
     """``task`` over ``jobs`` in order, on at most one worker per job.  A
-    pool pickles the task once per chunk and each job on its own, so the
-    jobs are replica ids (or ranges of them) and the task holds the config
-    and the oracle."""
+    pool pickles the task with each job, so the jobs are ranges of replica
+    ids and the task holds the config and the oracle."""
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [task(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
+        return list(pool.map(task, jobs))
 
 
 def _replica_chunks(cfg: RunConfig):
     """Ranges of replica ids, about replicas / (4 threads) in each: the
-    pool's jobs for ``meanfield``."""
+    pool's jobs."""
     size = max(1, cfg.replicas // (4 * cfg.threads))
     return [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
 
 
-def _write_replicas(cfg: RunConfig, out: Path, files: list, counts, cell_counts=None) -> None:
-    """Observations, cell counts and summary of replicated particle or
-    field-driven runs: ``counts`` of shape (replicas, times, 3) and
-    ``cell_counts``, if given, a list per replica of the (3, m, m) counts per
-    cell at each sample time."""
-    times = check_sample_times(cfg.sample_times, cfg.t_max).tolist()
-    rows = []
-    cell_rows = []
-    for rid, replica in enumerate(counts.tolist()):
-        for j, t in enumerate(times):
-            rows.append((rid, t, *replica[j]))
-            if cell_counts is not None:
-                cells = cell_counts[rid][j]
-                m = cells.shape[1]
-                for ix in range(m):
-                    for iy in range(m):
-                        cell_rows.append((rid, t, ix, iy,
-                                          cells[0, ix, iy], cells[1, ix, iy],
-                                          cells[2, ix, iy]))
-    _write_csv(out / "observations.csv",
-               ["replica", "time", "s", "i", "r"], rows)
-    files.append("observations.csv")
-    if cell_rows:
-        _write_csv(out / "cells.csv",
-                   ["replica", "time", "ix", "iy", "s", "i", "r"], cell_rows)
-        files.append("cells.csv")
+def _replicated(cfg: RunConfig, task):
+    """``task`` over every chunk of replicas; each array it returns, joined
+    over the chunks in replica order."""
+    chunks = _pool_map(task, _replica_chunks(cfg), cfg.threads)
+    return [np.concatenate(part) for part in zip(*chunks)]
+
+
+def _replica_outputs(cfg: RunConfig, counts, cells=None) -> dict:
+    """Observations, cell counts if given and, from two replicas on, the
+    summary of replicated particle or field-driven runs: ``counts`` of
+    shape (replicas, times, 3) and ``cells`` of shape (replicas, times, 3,
+    m, m)."""
+    times = check_sample_times(cfg.sample_times, cfg.t_max)
+    rid, j = np.indices(counts.shape[:2])
+    outputs = {"observations.csv": (["replica", "time", "s", "i", "r"],
+                                    _rows(rid, times[j], *np.moveaxis(counts, -1, 0)))}
+    if cells is not None:
+        rid, j, ix, iy = np.indices(cells.shape[:2] + cells.shape[3:])
+        outputs["cells.csv"] = (["replica", "time", "ix", "iy", "s", "i", "r"],
+                                _rows(rid, times[j], ix, iy, *np.moveaxis(cells, 2, 0)))
     if cfg.replicas >= 2:
         stack = counts.astype(float)
         srows = []
-        for j, t in enumerate(times):
+        for j, t in enumerate(times.tolist()):
             row = [t]
             for c in range(3):
                 mean, half, _ = ensemble_aggregate(stack[:, j, c])
                 row += [float(mean[0]), float(half[0])]
             srows.append(tuple(row))
-        _write_csv(out / "summary.csv",
-                   ["time", "s_mean", "s_ci", "i_mean", "i_ci", "r_mean", "r_ci"], srows)
-        files.append("summary.csv")
+        outputs["summary.csv"] = (["time", "s_mean", "s_ci", "i_mean", "i_ci",
+                                   "r_mean", "r_ci"], srows)
+    return outputs
 
 
-def _run_kinetic(cfg: RunConfig, out: Path, files: list) -> dict:
-    """Solve and write masses and snapshots; returns the solver's manifest
-    entry."""
+def _run_particle(cfg: RunConfig):
+    counts, cells = _replicated(cfg, functools.partial(_particle_chunk, cfg))
+    return _replica_outputs(cfg, counts, cells if cfg.cell_counts else None), {}
+
+
+def _run_meanfield(cfg: RunConfig):
+    oracle, solver = _solve_oracle(cfg)
+    counts, = _replicated(cfg, functools.partial(_meanfield_chunk, cfg, oracle))
+    return _replica_outputs(cfg, counts), {"solver": solver}
+
+
+def _run_kinetic(cfg: RunConfig):
+    """Masses and snapshots, and the solver's manifest entry."""
     f0 = field_from_initial(cfg.initial, cfg.grid)
     traj = solve(f0, cfg.model, cfg.grid, cfg.t_max, snapshot_times=cfg.snapshot_times)
-    _write_csv(out / "masses.csv", ["time", "s_mass", "i_mass", "r_mass"],
-               [(float(t), *map(float, m))
-                for t, m in zip(traj.mass_times, traj.masses)])
-    files.append("masses.csv")
+    outputs = {"masses.csv": (["time", "s_mass", "i_mass", "r_mass"],
+                              _rows(traj.mass_times, *traj.masses.T))}
     snap_rows = []
-    for t, fld in zip(traj.snapshot_times, traj.snapshots):
-        name = f"field_{t:.6f}.bin"
-        save_field(out / name, fld)
-        files.append(name)
-        snap_rows.append((float(t), name, *map(float, fld.label_masses())))
-    _write_csv(out / "snapshots.csv",
-               ["time", "file", "s_mass", "i_mass", "r_mass"], snap_rows)
-    files.append("snapshots.csv")
-    return {"solver": _solver_stats(traj)}
+    for t, fld in zip(traj.snapshot_times.tolist(), traj.snapshots):
+        # repr keeps distinct times apart, however close
+        name = f"field_{t!r}.bin"
+        outputs[name] = fld
+        snap_rows.append((t, name, *fld.label_masses().tolist()))
+    outputs["snapshots.csv"] = (["time", "file", "s_mass", "i_mass", "r_mass"], snap_rows)
+    return outputs, {"solver": _solver_stats(traj)}
 
 
-def _run_couple(cfg: RunConfig, out: Path, files: list, n_values=None):
-    """Paired runs per agent count.  Returns the mismatch series per n and
-    the manifest entry: solver stats and the b-attempt channel counts
-    summed over the replicas of each n."""
+def _paired_runs(cfg: RunConfig, n_values):
+    """Paired runs per agent count: the outputs and manifest entry of
+    ``couple`` (solver stats and the b-attempt channel counts summed over
+    the replicas of each n), and the mismatch (replicas, times) per n."""
     oracle, solver = _solve_oracle(cfg)
-    n_values = n_values or [cfg.model.n]
-    rows = []
-    summaries = {}
-    channels = {}
+    times = check_sample_times(cfg.sample_times, cfg.t_max)
+    rows, srows, mismatch, channels = [], [], {}, {}
     for n in n_values:
-        results = _pool_map(functools.partial(_couple_replica, cfg, oracle, n),
-                            range(cfg.replicas), cfg.threads)
-        for rid, (times, mism, ca, cb, _) in enumerate(results):
-            for j, t in enumerate(times):
-                rows.append((n, rid, float(t), float(mism[j]),
-                             ca[j, 0], ca[j, 1], ca[j, 2],
-                             cb[j, 0], cb[j, 1], cb[j, 2]))
-        stack = np.array([r[1] for r in results])
-        times = results[0][0]
-        summaries[n] = (times, stack)
-        channels[str(n)] = {key: sum(r[4][key] for r in results) for key in results[0][4]}
-    _write_csv(out / "observations.csv",
-               ["n", "replica", "time", "mismatch",
-                "s_a", "i_a", "r_a", "s_b", "i_b", "r_b"], rows)
-    files.append("observations.csv")
-    srows = []
-    for n, (times, stack) in summaries.items():
-        if stack.shape[0] >= 2:
-            mean, half, _ = ensemble_aggregate(stack)
-            for j, t in enumerate(times):
-                srows.append((n, float(t), float(mean[j]), float(half[j]),
-                              mismatch_bound(float(t), cfg.model.infection_rate, n)))
+        mism, ca, cb, ch = _replicated(cfg, functools.partial(_couple_chunk, cfg, oracle, n))
+        rid, j = np.indices(mism.shape)
+        rows += _rows(np.full(mism.shape, n), rid, times[j], mism,
+                      *np.moveaxis(ca, -1, 0), *np.moveaxis(cb, -1, 0))
+        mismatch[n] = mism
+        channels[str(n)] = dict(zip((f.name for f in fields(Channels)),
+                                    ch.sum(axis=0).tolist()))
+        if cfg.replicas >= 2:
+            mean, half, _ = ensemble_aggregate(mism)
+            srows += [(n, t, m, h, mismatch_bound(t, cfg.model.infection_rate, n))
+                      for t, m, h in zip(times.tolist(), mean.tolist(), half.tolist())]
+    outputs = {"observations.csv": (["n", "replica", "time", "mismatch",
+                                     "s_a", "i_a", "r_a", "s_b", "i_b", "r_b"], rows)}
     if srows:
-        _write_csv(out / "summary.csv",
-                   ["n", "time", "mismatch_mean", "mismatch_ci", "bound"], srows)
-        files.append("summary.csv")
-    return summaries, {"solver": solver, "coupling_channels": channels}
+        outputs["summary.csv"] = (["n", "time", "mismatch_mean", "mismatch_ci", "bound"],
+                                  srows)
+    return outputs, {"solver": solver, "coupling_channels": channels}, mismatch
+
+
+def _run_couple(cfg: RunConfig):
+    return _paired_runs(cfg, [cfg.model.n])[:2]
 
 
 _GNUPLOT_TEMPLATE = """# mismatch scaling, log-log
@@ -481,32 +490,28 @@ def fit_loglog_slope(n_values, means):
     return slope, se
 
 
-def _run_study(cfg: RunConfig, out: Path, files: list) -> dict:
+def _run_study(cfg: RunConfig):
     """Paired runs over the agent counts and a log-log slope per sample
     time.  A time at which some count has zero mean mismatch cannot be
-    fitted; it is named on stderr and in the manifest entry returned."""
-    summaries, extra = _run_couple(cfg, out, files, n_values=cfg.n_values)
+    fitted; it is named on stderr and in the manifest entry."""
+    outputs, extra, mismatch = _paired_runs(cfg, cfg.n_values)
     slope_rows = []
     skipped = []
-    for t_idx, t in enumerate(summaries[cfg.n_values[0]][0]):
-        means = [summaries[n][1][:, t_idx].mean() for n in cfg.n_values]
+    for t_idx, t in enumerate(check_sample_times(cfg.sample_times, cfg.t_max).tolist()):
+        means = [mismatch[n][:, t_idx].mean() for n in cfg.n_values]
         if min(means) <= 0:
             zero = ", ".join(str(n) for n, m in zip(cfg.n_values, means) if m <= 0)
-            print(f"note: slope.csv skips t={_fmt(float(t))}: mean mismatch is 0 "
+            print(f"note: slope.csv skips t={_fmt(t)}: mean mismatch is 0 "
                   f"for n = {zero}", file=sys.stderr)
-            skipped.append(float(t))
+            skipped.append(t)
             continue
         slope, se = fit_loglog_slope(cfg.n_values, means)
-        slope_rows.append((float(t), float(slope), float(se),
+        slope_rows.append((t, float(slope), float(se),
                            float(slope - 1.96 * se), float(slope + 1.96 * se)))
-    _write_csv(out / "slope.csv",
-               ["time", "slope", "stderr", "ci95_lo", "ci95_hi"], slope_rows)
-    files.append("slope.csv")
+    outputs["slope.csv"] = (["time", "slope", "stderr", "ci95_lo", "ci95_hi"], slope_rows)
     if slope_rows:
-        with open(out / "plot.gp", "w") as fh:
-            fh.write(_GNUPLOT_TEMPLATE.format(time=_fmt(slope_rows[-1][0])))
-        files.append("plot.gp")
-    return {**extra, "slope_skipped_times": skipped}
+        outputs["plot.gp"] = _GNUPLOT_TEMPLATE.format(time=_fmt(slope_rows[-1][0]))
+    return outputs, {**extra, "slope_skipped_times": skipped}
 
 
 def _validate_checks(cfg: RunConfig):
@@ -583,45 +588,36 @@ def _validate_checks(cfg: RunConfig):
            f"P(still S)={frac_s:.4f} vs {p_exact:.4f} (tol {tol:.4f})")
 
 
-def _run_validate(cfg: RunConfig, out: Path, files: list) -> int:
+def _run_validate(cfg: RunConfig):
     rows = []
-    failures = 0
     for name, passed, detail in _validate_checks(cfg):
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
         rows.append((name, status, detail))
-        failures += int(not passed)
-    _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
-    files.append("validate.csv")
-    return failures
+    return {"validate.csv": (["check", "status", "detail"], rows)}, {}
+
+
+#: Each kind's run: config -> (outputs by file name, manifest entries).  An
+#: output is a CSV's (header, rows), a ``KineticField`` or a text file.
+_RUNS = {"particle": _run_particle, "kinetic": _run_kinetic, "meanfield": _run_meanfield,
+         "couple": _run_couple, "study": _run_study, "validate": _run_validate}
 
 
 def run_experiment(cfg: RunConfig, out_dir) -> int:
-    """Execute one experiment kind; returns a process exit status."""
+    """Execute one experiment kind, then write its outputs and the manifest
+    into ``out_dir``.  Nothing is written before every output is computed,
+    so an error on the way leaves no directory behind.  Returns a process
+    exit status: 1 if a ``validate`` check failed, else 0."""
+    outputs, extra = _RUNS[cfg.kind](cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    status = 0
-    extra = {}
-    if cfg.kind == "particle":
-        results = _pool_map(functools.partial(_particle_replica, cfg), range(cfg.replicas),
-                            cfg.threads)
-        _write_replicas(cfg, out, files, np.array([c for c, _ in results]),
-                        [cells for _, cells in results] if cfg.cell_counts else None)
-    elif cfg.kind == "meanfield":
-        oracle, solver = _solve_oracle(cfg)
-        chunks = _pool_map(functools.partial(_meanfield_chunk, cfg, oracle),
-                           _replica_chunks(cfg), cfg.threads)
-        _write_replicas(cfg, out, files, np.concatenate(chunks))
-        extra = {"solver": solver}
-    elif cfg.kind == "kinetic":
-        extra = _run_kinetic(cfg, out, files)
-    elif cfg.kind == "couple":
-        extra = _run_couple(cfg, out, files)[1]
-    elif cfg.kind == "study":
-        extra = _run_study(cfg, out, files)
-    elif cfg.kind == "validate":
-        status = 1 if _run_validate(cfg, out, files) else 0
+    for name, content in outputs.items():
+        if isinstance(content, KineticField):
+            save_field(out / name, content)
+        elif isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            _write_csv(out / name, *content)
     manifest = {
         "kind": cfg.kind,
         "version": __version__,
@@ -629,12 +625,13 @@ def run_experiment(cfg: RunConfig, out_dir) -> int:
         "replicas": cfg.replicas,
         "config": cfg.raw,
         "fingerprint": _config_fingerprint(cfg),
-        "files": sorted(files),
+        "files": sorted(outputs),
         **extra,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return status
+    return int(cfg.kind == "validate"
+               and any(row[1] == "FAIL" for row in outputs["validate.csv"][1]))
 
 
 def main(argv=None) -> int:

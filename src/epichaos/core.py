@@ -60,12 +60,6 @@ def in_range(x1, x2, r0: float, side: float):
     return (d * d).sum(axis=-1) < r0 * r0
 
 
-def unit_vector(theta):
-    """Heading angle -> unit velocity vector, stacked on the last axis."""
-    t = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All rate and geometry parameters of the agent model.

@@ -47,10 +47,6 @@ class CoupledEnsemble:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def copy(self) -> "CoupledEnsemble":
-        return CoupledEnsemble(self.x.copy(), self.theta.copy(), self.a.copy(),
-                               self.b.copy(), self.t, self.counters.copy())
-
 
 def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
     """Maximal-coupling decision of the b-attempt of one proposal.

@@ -35,10 +35,6 @@ class Counters:
     infection_proposals: int = 0
     infections: int = 0
 
-    def copy(self) -> "Counters":
-        return Counters(self.velocity_jumps, self.recoveries,
-                        self.infection_proposals, self.infections)
-
 
 @dataclass
 class EnsembleState:
@@ -58,11 +54,6 @@ class EnsembleState:
     @property
     def n(self) -> int:
         return self.labels.shape[0]
-
-    def counts(self):
-        """(#S, #I, #R), always summing to n."""
-        c = np.bincount(self.labels, minlength=3)
-        return int(c[0]), int(c[1]), int(c[2])
 
 
 def sample_initial(ic: InitialCondition, n: int, rng: np.random.Generator) -> EnsembleState:

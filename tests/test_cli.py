@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import epichaos
-from epichaos import ConfigError, DiscKernel, SeedSpec, field_from_initial, run_ensemble, solve
+from epichaos import (ConfigError, DiscKernel, SeedSpec, field_from_initial, load_field,
+                      run_ensemble, solve)
 from epichaos import meanfield
 from epichaos.cli import _solve_oracle, fit_loglog_slope, main, parse_config
 
@@ -125,17 +126,23 @@ WEIGHTED = FULL.replace("[initial]", "[initial]\nweights = 1 2; 3 4").replace(
 
 
 def test_thread_pool_does_not_change_output(tmp_path):
-    # meanfield's jobs are chunks of replicas, 7 at one thread and 2 at three
-    for kind, text in (("particle", FULL), ("meanfield", WEIGHTED)):
+    # the jobs are chunks of 30 replicas, 7 at one thread and 2 at three
+    thirty = FULL.replace("replicas = 3", "replicas = 30")
+    for kind, text in (("particle", thirty + "cell_counts = true\n"), ("meanfield", WEIGHTED),
+                       ("couple", thirty)):
         cfg_path = tmp_path / f"{kind}.ini"
         cfg_path.write_text(text)
-        main([kind, "--config", str(cfg_path), "--out", str(tmp_path / kind / "s"),
-              "--threads", "1"])
-        main([kind, "--config", str(cfg_path), "--out", str(tmp_path / kind / "p"),
-              "--threads", "3"])
-        for name in ("observations.csv", "summary.csv"):
-            assert (tmp_path / kind / "s" / name).read_bytes() == \
-                (tmp_path / kind / "p" / name).read_bytes()
+        listed = []
+        for threads in ("1", "3"):
+            out = tmp_path / kind / threads
+            assert main([kind, "--config", str(cfg_path), "--out", str(out),
+                         "--threads", threads]) == 0
+            listed.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert listed[0] == listed[1]
+        assert "summary.csv" in listed[0] and ("cells.csv" in listed[0]) == (kind == "particle")
+        for name in listed[0]:
+            assert (tmp_path / kind / "1" / name).read_bytes() == \
+                (tmp_path / kind / "3" / name).read_bytes(), (kind, name)
 
 
 @pytest.mark.parametrize("text", [FULL.replace("replicas = 3", "replicas = 30"), WEIGHTED],
@@ -247,7 +254,24 @@ def test_kinetic_rejects_two_snapshot_times_on_one_step(tmp_path, capsys, times)
     out = tmp_path / "o"
     assert main(["kinetic", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "distinct steps" in capsys.readouterr().err
-    assert not list(out.glob("field_*.bin"))
+    assert not out.exists()
+
+
+def test_kinetic_snapshot_files_of_close_times_keep_their_own_names(tmp_path):
+    # at six decimals both times would be named field_0.000000.bin
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("dt = 1e-2", "dt = 1e-7")
+                        .replace("t = 0.5\nsample_times = 0.0 0.25 0.5", "t = 1e-7")
+                        + "snapshot_times = 0.0 1e-7\n")
+    out = tmp_path / "o"
+    assert main(["kinetic", "--config", str(cfg_path), "--out", str(out)]) == 0
+    names = ["field_0.0.bin", "field_1e-07.bin"]
+    assert sorted(p.name for p in out.glob("field_*.bin")) == names
+    assert [load_field(out / name).t for name in names] == [0.0, 1e-7]
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == sorted(names + ["masses.csv", "snapshots.csv"])
+    rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.0", names[0]], ["1e-07", names[1]]]
 
 
 def test_study_experiment_fits_slope(tmp_path):

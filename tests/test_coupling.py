@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelP
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_coupled_initial, sample_initial, uniform_sir, wrap,
                       FieldOracle, GridSpec, field_from_initial, solve)
-from epichaos.core import TWO_PI, BlockDraws, torus_distance, unit_vector
+from epichaos.core import TWO_PI, BlockDraws, torus_distance
 from epichaos.coupling import b_shortcut
 
 SIDE = 1.0
@@ -32,6 +34,13 @@ def make_coupled(a_labels, b_labels, seed=0, side=SIDE):
 # Scalar forms of the two coupled jump rules, acting on a CoupledEnsemble
 # whose positions are current.  They are the reference that run_coupled's
 # inlined loop is checked against.
+
+def event_copy(state):
+    """A copy of ``state`` with its own labels and counters, the parts one
+    event changes."""
+    return dataclasses.replace(state, a=state.a.copy(), b=state.b.copy(),
+                               counters=dataclasses.replace(state.counters))
+
 
 def coupled_recovery(state, i):
     """One shared recovery tick: both labels apply I -> R simultaneously."""
@@ -123,7 +132,7 @@ def test_coupled_infection_event_matches_marginal_laws(seed, a_labels, b_labels,
     trials = 40_000
     a_flips = b_flips = 0
     for _ in range(trials):
-        trial = state.copy()
+        trial = event_copy(state)
         partner = int(rng.integers(6))
         u = float(rng.random())
         coupled_infection_event(trial, params, orc, 0, partner, u)
@@ -146,7 +155,7 @@ def test_coupled_infection_event_shared_channel_is_simultaneous():
     orc = constant_oracle(SIDE, 0.9, 1.0)
     rng = SeedSpec(10).rng()
     for _ in range(500):
-        trial = state.copy()
+        trial = event_copy(state)
         coupled_infection_event(trial, params, orc, 0, 1, float(rng.random()))
         # partner check fires for both: either both flip (partner drawn in
         # range) or the residual fires b alone; a flips only with b
@@ -165,7 +174,7 @@ def test_coupled_infection_event_identical_acceptance_at_matched_rates():
     orc = constant_oracle(SIDE, p, 1.0)
     rng = SeedSpec(21).rng()
     for _ in range(2000):
-        trial = state.copy()
+        trial = event_copy(state)
         coupled_infection_event(trial, params, orc, 0, int(rng.integers(5)),
                                 float(rng.random()))
         assert trial.a[0] == trial.b[0]
@@ -331,7 +340,7 @@ def synchronous_reference(initial, params, oracle, t_max, seed):
     event, and jumps go through the scalar rules.  Consumes the same
     windowed ``BlockDraws`` as ``run_coupled``, merged in time order.
     Returns the final state and the b-attempt channel counts."""
-    state = initial.copy()
+    state = copy.deepcopy(initial)
     tally = dict.fromkeys(("b_proposals", "partner_fires", "residual_fires",
                            "thinned"), 0)
     d = BlockDraws(seed.rng(), state.n, params, 0.0, t_max)
@@ -345,8 +354,8 @@ def synchronous_reference(initial, params, oracle, t_max, seed):
                     key=lambda event: event[0])
 
     def move(t_to):
-        state.x = wrap(state.x + unit_vector(state.theta) * (t_to - state.t),
-                       params.side)
+        v = np.column_stack((np.cos(state.theta), np.sin(state.theta)))
+        state.x = wrap(state.x + v * (t_to - state.t), params.side)
         state.t = t_to
 
     for t, kind, i, extra in events:
