@@ -211,6 +211,10 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                                            weights=weights, velocity=velocity)
             except InitialConditionError as exc:
                 fail("initial", str(exc))
+    # the solver projects the initial grid onto its own, which must refine it
+    if needs_grid and grid is not None and initial is not None and grid.m % initial.m0:
+        fail("grid.m", f"must be a multiple of the initial grid's m0 = {initial.m0}, "
+             f"got {grid.m}")
 
     t_max = get("run", "t", _finite, required=True)
     sample_times = get("run", "sample_times", _parse_floats)

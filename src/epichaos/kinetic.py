@@ -4,11 +4,12 @@ The unknown is a density f(x, v, a, t) over the periodic square, a discrete
 set of headings on the circle, and the three labels.  One Strang step
 composes: half reaction, half scattering, full transport, half scattering,
 half reaction.  Transport is semi-Lagrangian (per heading the displacement
-is constant, so the interpolation reduces to at most four rolled copies of
-the slice), scattering relaxes each cell exactly toward its angular mean,
-and the reaction uses exact exponential updates with the interaction
-intensity frozen per sub-step, refreshed by a trapezoidal
-predictor-corrector so the splitting stays second order.
+is constant, so the interpolation reduces to an x pass then a y pass, each
+the sum of two rolled and scaled copies of the slice), scattering relaxes
+each cell exactly toward its angular mean, and the reaction uses exact
+exponential updates with the interaction intensity frozen per sub-step,
+refreshed by a trapezoidal predictor-corrector so the splitting stays
+second order.
 
 All sub-steps map nonnegative fields to nonnegative fields and conserve the
 per-cell label sum (reaction) or per-label mass (transport, scattering), so
@@ -151,7 +152,10 @@ class DiscKernel:
         return out * self.area
 
     def spectral(self, density: np.ndarray) -> np.ndarray:
-        conv = np.fft.irfft2(np.fft.rfft2(density) * self.fft, s=density.shape)
+        # rfft2 then irfft2 as their one-axis transforms, in the order they
+        # run them: the same bits without numpy's n-d argument handling
+        spec = np.fft.fft(np.fft.rfft(density), axis=0) * self.fft
+        conv = np.fft.irfft(np.fft.ifft(spec, axis=0), n=density.shape[1])
         return conv * self.area
 
 
@@ -165,13 +169,37 @@ def _from_working(work: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(work, 0, 3))
 
 
-def _rolled(m: int, shift: int, axis: int):
-    """(destination, source) index pairs that roll a periodic axis of length
-    m by ``shift`` cells."""
+def _rolled_product(src: np.ndarray, shift: int, factor: float, axis: int,
+                    out: np.ndarray) -> None:
+    """Write into ``out`` the slab ``src`` rolled by ``shift`` cells along a
+    periodic axis, times ``factor``.
+
+    One contiguous product over the flattened slab at the roll's flat
+    offset puts every cell that does not wrap in place; the cells that
+    wrapped are then overwritten.  Rolling the shorter way round keeps
+    them few: a roll by -1 fixes one column, not m - 1.  Both slabs must be
+    C-contiguous, as a flattened copy of ``out`` would drop the products.
+    """
+    if not (src.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("rolled products need C-contiguous slabs")
+    m = src.shape[axis]
     c = shift % m
+    if 2 * c > m:
+        c -= m
+    flat_src, flat_out = src.ravel(), out.ravel()
+    if c == 0:  # nothing wraps, and the slices below would be empty
+        np.multiply(flat_src, factor, out=flat_out)
+        return
+    offset = c * math.prod(src.shape[axis + 1:])
     lead = (slice(None),) * axis
-    return ((lead + (slice(c, None),), lead + (slice(None, m - c),)),
-            (lead + (slice(None, c),), lead + (slice(m - c, None),)))
+    if c > 0:
+        np.multiply(flat_src[:-offset], factor, out=flat_out[offset:])
+        np.multiply(src[lead + (slice(m - c, None),)], factor,
+                    out=out[lead + (slice(None, c),)])
+    else:
+        np.multiply(flat_src[-offset:], factor, out=flat_out[:offset])
+        np.multiply(src[lead + (slice(None, -c),)], factor,
+                    out=out[lead + (slice(m + c, None),)])
 
 
 def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
@@ -180,17 +208,15 @@ def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
     fractional) number of cells; ``scratch`` has the shape of ``values``.
 
     Equivalent to semi-Lagrangian advection with linear interpolation at
-    the departure points; integer shifts reduce to an exact roll.
+    the departure points: every cell is (1 - w) * a + w * b of its two
+    departure neighbours a and b.  Integer shifts reduce to an exact roll.
     """
     s = math.floor(shift)
     w = shift - s
-    m = values.shape[axis]
-    for dst, src in _rolled(m, s, axis):
-        np.multiply(values[src], 1.0 - w, out=out[dst])
+    _rolled_product(values, s, 1.0 - w, axis, out)
     if w != 0.0:
-        np.multiply(values, w, out=scratch)
-        for dst, src in _rolled(m, s + 1, axis):
-            np.add(out[dst], scratch[src], out=out[dst])
+        _rolled_product(values, s + 1, w, axis, scratch)
+        np.add(out, scratch, out=out)
 
 
 def _transport(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:

@@ -501,6 +501,28 @@ def test_labels_csv_is_relative_to_the_config_file(tmp_path, monkeypatch):
     assert fractions[2, 2].tolist() == [0.5, 0.5, 0.0]
 
 
+@pytest.mark.parametrize("source", ["weights", "labels_csv"])
+@pytest.mark.parametrize("kind", ["kinetic", "meanfield", "couple", "study"])
+def test_grid_must_refine_the_initial_grid(tmp_path, capsys, kind, source):
+    # a 4x4 initial grid does not project onto m = 6 cells
+    (tmp_path / "cells.csv").write_text("0.9,0.1,0.0\n" * 16)
+    initial = {"weights": "weights = " + "; ".join(["1 2 3 4"] * 4),
+               "labels_csv": "labels_csv = cells.csv"}[source]
+    text = FULL.replace("m = 8", "m = 6").replace("[initial]", f"[initial]\n{initial}")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text + "n_values = 30 60\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path.read_text(), kind, base_dir=tmp_path)
+    assert "grid.m" in str(err.value)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "grid.m: " in capsys.readouterr().err
+    assert not out.exists()
+    # the same initial grid refines m = 8
+    parse_config(text.replace("m = 6", "m = 8") + "n_values = 30 60\n", kind,
+                 base_dir=tmp_path)
+
+
 #: Every float key of a config, as (section, key, value template).
 FLOAT_KEYS = [("model", "d", "{}"), ("model", "r0", "{}"), ("model", "lambda", "{}"),
               ("model", "gamma", "{}"), ("grid", "dt", "{}"), ("initial", "s", "{}"),

@@ -9,6 +9,7 @@ from epichaos import (DiscKernel, GridError, GridSpec, KineticField, ModelParams
                       reaction_step, save_field, scattering_step, solve,
                       transport_step, uniform_sir)
 from epichaos.core import TWO_PI
+from epichaos.kinetic import _rolled_product
 from epichaos.oracles import direct_convolution, sir_ode_solve
 
 SIDE = 1.0
@@ -63,6 +64,59 @@ def test_transport_fractional_shift_interpolates_linearly():
         v = fld.values[:, :, :, kv]
         expected = (1.0 - w) * np.roll(v, s, axis=1) + w * np.roll(v, s + 1, axis=1)
         assert np.abs(out.values[:, :, :, kv] - expected).max() < 1e-15
+
+
+def roll_transport(values, dt, side):
+    """Two-pass np.roll reference of transport_step on (3, m, m, k) values:
+    per heading, the x pass then the y pass, each (1 - w) a + w b."""
+    m, k = values.shape[1], values.shape[3]
+    h = side / m
+    out = np.empty_like(values)
+    for kv in range(k):
+        theta = TWO_PI * kv / k
+        v = values[:, :, :, kv]
+        for axis, shift in ((1, math.cos(theta) * dt / h), (2, math.sin(theta) * dt / h)):
+            s = math.floor(shift)
+            w = shift - s
+            v = (1.0 - w) * np.roll(v, s, axis=axis) + w * np.roll(v, s + 1, axis=axis)
+        out[:, :, :, kv] = v
+    return out
+
+
+@pytest.mark.parametrize("m,k,cells", [
+    (8, 4, 3.0),      # integer shifts along both axes, both signs
+    (8, 4, 2.25),     # fractional
+    (8, 8, 0.4),      # sub-cell, diagonal headings
+    (16, 8, 13.7),    # past m/2: rolls the short way round
+    (8, 4, 20.3),     # wraps the axis more than once
+    (17, 12, 4.8),    # odd m, multi-cell, every direction
+    (17, 12, 0.001),  # near-zero shift
+])
+def test_transport_matches_two_pass_roll_reference(m, k, cells):
+    fld = random_field(m, k, seed=m + k)
+    dt = cells * SIDE / m
+    out = transport_step(fld, dt)
+    assert np.array_equal(out.values, roll_transport(fld.values, dt, SIDE))
+
+
+@pytest.mark.parametrize("view", [np.s_[:, :, :8], np.s_[:, :, ::2]])
+def test_rolled_product_refuses_a_non_contiguous_slab(view):
+    # a flat copy of ``out`` would take the products and drop them
+    slab = np.ones((3, 8, 8))
+    strided = np.empty((3, 8, 16))[view]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _rolled_product(slab, 1, 0.5, 2, strided)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _rolled_product(strided, 1, 0.5, 1, slab)
+
+
+@pytest.mark.parametrize("m", [8, 17, 32, 64])
+def test_spectral_matches_rfft2_bit_for_bit(m):
+    kernel = DiscKernel(m, SIDE, 0.17)
+    rho = np.random.default_rng(m).random((m, m))
+    expected = np.fft.irfft2(np.fft.rfft2(rho) * kernel.fft, s=rho.shape) * kernel.area
+    assert np.array_equal(kernel.spectral(rho), expected)
+
 
 def test_transport_preserves_mass():
     fld = random_field(16, 8, seed=2)
