@@ -33,7 +33,7 @@ def main():
         rows = np.empty((replicas, 2))
         for r in range(replicas):
             s = seed.child(n, r)
-            st = ec.sample_coupled_initial(ic, n, s.child(0).rng())
+            st = ec.sample_initial(ic, n, s.child(0).rng())
             rows[r] = ec.run_coupled(st, base.with_n(n), oracle, 1.0,
                                      [0.5, 1.0], s.child(1)).mismatch
         m, half, _ = ec.ensemble_aggregate(rows)

@@ -15,7 +15,7 @@ from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
 from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, ensemble_counts,
                         run_ensemble)
 from .coupling import (CoupledEnsemble, CoupledTrajectory, b_attempt, mismatch_bound,
-                       mismatch_fraction, run_coupled, sample_coupled_initial)
+                       mismatch_fraction, run_coupled)
 from .observables import (EmpiricalMarginal, GridMismatchError, empirical_marginal,
                           ensemble_aggregate, l1_distance, pair_factorization_gap)
 from . import oracles

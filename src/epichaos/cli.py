@@ -34,7 +34,7 @@ from .initial import InitialCondition, InitialConditionError
 from .kinetic import (DiscKernel, GridError, GridSpec, KineticField, field_from_initial,
                       save_field, solve)
 from .meanfield import FieldOracle, constant_oracle, ensemble_counts, run_ensemble
-from .coupling import Channels, mismatch_bound, run_coupled, sample_coupled_initial
+from .coupling import Channels, mismatch_bound, run_coupled
 from .observables import empirical_marginal, ensemble_aggregate
 from .particle import ConfigError, check_sample_times, run, sample_initial
 
@@ -79,7 +79,10 @@ def _parse_floats(text):
 
 
 def _parse_matrix(text):
-    return [[_finite(tok) for tok in row.split()] for row in text.split(";")]
+    rows = [_parse_floats(row) for row in text.split(";")]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must have equal length")
+    return rows
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -352,7 +355,7 @@ def _couple_chunk(cfg: RunConfig, oracle: FieldOracle, n: int, rids):
     results = []
     for rid in rids:
         seed = SeedSpec(cfg.seed).child(n, rid)
-        state = sample_coupled_initial(cfg.initial, n, seed.child(0).rng())
+        state = sample_initial(cfg.initial, n, seed.child(0).rng())
         traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
                            cfg.sample_times, seed.child(1))
         results.append((traj.mismatch, traj.counts_a, traj.counts_b,
@@ -654,10 +657,10 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in ("seed", "replicas", "threads")
                  if getattr(args, key) is not None}
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text, args.kind, base_dir=Path(args.config).parent,
                            overrides=overrides)
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

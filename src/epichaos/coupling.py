@@ -19,33 +19,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass, wrap
-from .initial import InitialCondition
+from .core import LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass
 from .meanfield import FieldOracle
-from .particle import (Counters, Trajectory, check_sample_times, check_state_time,
-                       counters_at, label_counts, resolve_infections)
+from .particle import (EnsembleState, Trajectory, check_sample_times, label_counts,
+                       resolve_infections)
 
 
 @dataclass
-class CoupledEnsemble:
-    """Shared positions and headings with the two label vectors."""
+class CoupledEnsemble(EnsembleState):
+    """An ``EnsembleState`` whose ``labels`` are the a system, with the b
+    labels of the same agents."""
 
-    x: np.ndarray
-    theta: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    t: float = 0.0
-    counters: Counters = field(default_factory=Counters)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.a = np.asarray(self.a, dtype=np.int8)
-        self.b = np.asarray(self.b, dtype=np.int8)
+    b: np.ndarray = field(kw_only=True)
 
     @property
-    def n(self) -> int:
-        return self.a.shape[0]
+    def a(self) -> np.ndarray:
+        return self.labels
 
 
 def b_attempt(p: float, q: float, partner_b: bool, u: float) -> bool:
@@ -126,27 +115,18 @@ class CoupledTrajectory(Trajectory):
         return self.counts
 
     def state_at(self, s: float) -> CoupledEnsemble:
-        """Shared positions and headings, both label vectors and the event
-        counts at time s."""
-        path, a, b = self.path, self.labels, self.b
-        check_state_time(s, path.t0, self.t_max)
-        cnt = counters_at(path, self.prop_t, a, s)
-        # a recovery tick at which both labels recovered counts once
-        cnt.recoveries += b.recovered_before(s) - int(np.count_nonzero(
-            (a.rec == b.rec) & (a.rec >= path.t0) & (a.rec < s)))
-        return CoupledEnsemble(*path.state_at(s), a.at(s), b.at(s), s, cnt)
+        """The a system's state at time s with the b labels; a recovery tick
+        at which both labels recovered counts once."""
+        state, a, b = super().state_at(s), self.labels, self.b
+        state.counters.recoveries += b.recovered_before(s) - int(np.count_nonzero(
+            (a.rec == b.rec) & (a.rec >= self.path.t0) & (a.rec < s)))
+        return CoupledEnsemble(**vars(state), b=b.at(s))
 
 
-def sample_coupled_initial(ic: InitialCondition, n: int,
-                           rng: np.random.Generator) -> CoupledEnsemble:
-    """i.i.d. draws from the initial density with equal label vectors."""
-    x, theta, labels = ic.sample(n, rng)
-    return CoupledEnsemble(wrap(x, ic.side), theta, labels, labels.copy())
-
-
-def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOracle,
+def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle,
                 t_max: float, sample_times, seed: SeedSpec) -> CoupledTrajectory:
-    """Event-driven run of the paired process.
+    """Event-driven run of the paired process from the state ``run`` takes:
+    both label systems start from ``initial.labels``.
 
     Flight, recovery clocks and proposals are the label-free pass of the
     per-agent form, and ``resolve_infections`` gives the a-labels of ``run``
@@ -162,7 +142,7 @@ def run_coupled(initial: CoupledEnsemble, params: ModelParams, oracle: FieldOrac
     n = initial.n
     path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
                                              params, [seed.rng()])
-    a, b = LabelTimes(initial.a, path), LabelTimes(initial.b, path)
+    a, b = LabelTimes(initial.labels, path), LabelTimes(initial.labels, path)
     near = path.near(pa, pp, pt, params.radius)
     resolve_infections(a, pt[near], pa[near], pp[near])
     q_cap = oracle.probe_cap

@@ -79,19 +79,6 @@ def check_sample_times(sample_times, t_max: float) -> np.ndarray:
     return st
 
 
-def check_state_time(s: float, t0: float, t_max: float) -> None:
-    """ValueError unless s lies in a run's span [t0, t_max]: its path has no
-    events after t_max."""
-    if not t0 <= s <= t_max:
-        raise ValueError(f"time {s} outside the run's span [{t0}, {t_max}]")
-
-
-def counters_at(path: Path, prop_t, labels: LabelTimes, s: float) -> Counters:
-    """The event counts of a run before time s."""
-    return Counters(path.jumps_before(s), labels.recovered_before(s),
-                    int(prop_t.searchsorted(s)), labels.infected_before(s))
-
-
 def label_counts(labels: LabelTimes, times) -> np.ndarray:
     """The (S, I, R) counts of one label system at each of the times."""
     rows = [np.bincount(labels.at(s), minlength=3) for s in times]
@@ -115,10 +102,15 @@ class Trajectory:
         self.counts = label_counts(self.labels, self.times)
 
     def state_at(self, s: float) -> EnsembleState:
-        """Positions, headings, labels and event counts at time s."""
-        check_state_time(s, self.path.t0, self.t_max)
-        return EnsembleState(*self.path.state_at(s), self.labels.at(s), s,
-                             counters_at(self.path, self.prop_t, self.labels, s))
+        """Positions, headings, labels and event counts at time s; ValueError
+        unless s lies in the run's span [t0, t_max]: its path has no events
+        after t_max."""
+        path, lab = self.path, self.labels
+        if not path.t0 <= s <= self.t_max:
+            raise ValueError(f"time {s} outside the run's span [{path.t0}, {self.t_max}]")
+        return EnsembleState(*path.state_at(s), lab.at(s), s,
+                             Counters(path.jumps_before(s), lab.recovered_before(s),
+                                      int(self.prop_t.searchsorted(s)), lab.infected_before(s)))
 
     @cached_property
     def final(self) -> EnsembleState:

@@ -52,7 +52,7 @@ def coupled_means(oracle, n, reps, times, seed_tag):
     rows = np.empty((reps, len(times)))
     for r in range(reps):
         seed = base.child(seed_tag, n, r)
-        state = ec.sample_coupled_initial(IC, n, seed.child(0).rng())
+        state = ec.sample_initial(IC, n, seed.child(0).rng())
         traj = ec.run_coupled(state, params, oracle, times[-1], times, seed.child(1))
         rows[r] = traj.mismatch
     return rows
@@ -184,7 +184,7 @@ def test_c07_coupled_marginal_consistency(coarse_oracle):
     i_p = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         seed = base.child(0, r)
-        st = ec.sample_coupled_initial(IC, n, seed.child(0).rng())
+        st = ec.sample_initial(IC, n, seed.child(0).rng())
         tr = ec.run_coupled(st, params, coarse_oracle, 1.0, [1.0], seed.child(1))
         i_a[r] = tr.counts_a[-1][1]
         i_b[r] = tr.counts_b[-1][1]
@@ -218,7 +218,7 @@ def test_c08_marginal_convergence(fine_solution, coarse_oracle):
     # on every coupled snapshot the recorded mismatch upper-bounds (here:
     # equals) the discrete-metric transport cost of the empirical pair
     snap_labels = []
-    st = ec.sample_coupled_initial(IC, 500, base.child(0, 0).rng())
+    st = ec.sample_initial(IC, 500, base.child(0, 0).rng())
     traj = ec.run_coupled(st, BASE.with_n(500), coarse_oracle, 1.0,
                           np.linspace(0.0, 1.0, 11), base.child(0, 1))
     bounds = traj.mismatch

@@ -471,6 +471,26 @@ def test_count_overrides_are_validated(tmp_path, capsys, kind, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["1 2; 3", "1 2; 3 4;", "1; 2 3"])
+def test_ragged_weights_exit_2(tmp_path, capsys, weights):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("[initial]", f"[initial]\nweights = {weights}"))
+    out = tmp_path / "o"
+    assert main(["meanfield", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "initial.weights: cannot parse" in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_bytes(FULL.encode() + b"# \xff\n")
+    out = tmp_path / "o"
+    assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 LABELS_3x3 = "\n".join(["0.9,0.1,0.0"] * 8 + ["0.5,0.5,0.0"]) + "\n"
 
 

@@ -10,7 +10,7 @@ from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelP
                       OracleSpanError, SeedSpec, b_attempt,
                       constant_oracle, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
-                      sample_coupled_initial, sample_initial, uniform_sir, wrap,
+                      sample_initial, uniform_sir, wrap,
                       FieldOracle, GridSpec, field_from_initial, solve)
 from epichaos.core import TWO_PI, BlockDraws, torus_distance
 from epichaos.coupling import b_shortcut
@@ -28,7 +28,7 @@ def make_coupled(a_labels, b_labels, seed=0, side=SIDE):
     b = np.asarray(b_labels, dtype=np.int8)
     rng = SeedSpec(seed).rng()
     n = a.shape[0]
-    return CoupledEnsemble(rng.random((n, 2)) * side, rng.random(n) * TWO_PI, a, b)
+    return CoupledEnsemble(rng.random((n, 2)) * side, rng.random(n) * TWO_PI, a, b=b)
 
 
 # Scalar forms of the two coupled jump rules, acting on a CoupledEnsemble
@@ -38,7 +38,7 @@ def make_coupled(a_labels, b_labels, seed=0, side=SIDE):
 def event_copy(state):
     """A copy of ``state`` with its own labels and counters, the parts one
     event changes."""
-    return dataclasses.replace(state, a=state.a.copy(), b=state.b.copy(),
+    return dataclasses.replace(state, labels=state.a.copy(), b=state.b.copy(),
                                counters=dataclasses.replace(state.counters))
 
 
@@ -196,8 +196,7 @@ def test_mismatch_bound_value():
 def test_run_coupled_no_infection_channel_keeps_labels_equal():
     params = make_params(50, lam=0.0, gamma=1.0)
     orc = constant_oracle(SIDE, 0.0, 2.0)
-    state = sample_coupled_initial(uniform_sir(SIDE, 0.5, 0.5, 0.0), 50,
-                                   SeedSpec(11).rng())
+    state = sample_initial(uniform_sir(SIDE, 0.5, 0.5, 0.0), 50, SeedSpec(11).rng())
     traj = run_coupled(state, params, orc, 2.0, [0.0, 1.0, 2.0], SeedSpec(12))
     assert np.all(traj.mismatch == 0.0)
     assert np.array_equal(traj.counts_a, traj.counts_b)
@@ -206,8 +205,7 @@ def test_run_coupled_no_infection_channel_keeps_labels_equal():
 def test_run_coupled_starts_matched_and_stays_bounded():
     params = make_params(100)
     orc = constant_oracle(SIDE, 0.01, 1.0)
-    state = sample_coupled_initial(uniform_sir(SIDE, 0.9, 0.1, 0.0), 100,
-                                   SeedSpec(13).rng())
+    state = sample_initial(uniform_sir(SIDE, 0.9, 0.1, 0.0), 100, SeedSpec(13).rng())
     traj = run_coupled(state, params, orc, 1.0, [0.0, 0.5, 1.0], SeedSpec(14))
     assert traj.mismatch[0] == 0.0
     assert np.all((traj.mismatch >= 0.0) & (traj.mismatch <= 1.0))
@@ -218,8 +216,7 @@ def test_run_coupled_starts_matched_and_stays_bounded():
 def test_run_coupled_is_deterministic():
     params = make_params(60)
     orc = constant_oracle(SIDE, 0.05, 1.0)
-    state = sample_coupled_initial(uniform_sir(SIDE, 0.8, 0.2, 0.0), 60,
-                                   SeedSpec(15).rng())
+    state = sample_initial(uniform_sir(SIDE, 0.8, 0.2, 0.0), 60, SeedSpec(15).rng())
     a = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(16))
     b = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(16))
     assert np.array_equal(a.mismatch, b.mismatch)
@@ -241,7 +238,7 @@ def run_loop(loop, t_max, times):
     if loop == "ensemble":
         return run_ensemble(n, ic, orc, params, t_max, times, SeedSpec(45))
     if loop == "coupled":
-        state = sample_coupled_initial(ic, n, SeedSpec(46).rng())
+        state = sample_initial(ic, n, SeedSpec(46).rng())
         return run_coupled(state, params, orc, t_max, times, SeedSpec(47))
     state = sample_initial(ic, n, SeedSpec(46).rng())
     return run(state, params, t_max, times, SeedSpec(47), interaction=loop)
@@ -307,15 +304,35 @@ def test_coupled_a_labels_are_those_of_run():
     orc = constant_oracle(SIDE, 0.1, 1.0)
     infections = 0
     for s in range(20):
-        state = sample_coupled_initial(ic, n, SeedSpec(48, (s,)).rng())
+        state = sample_initial(ic, n, SeedSpec(48, (s,)).rng())
         paired = run_coupled(state, params, orc, 1.0, [0.5, 1.0], SeedSpec(49, (s,)))
-        alone = run(EnsembleState(state.x, state.theta, state.a), params, 1.0, [0.5, 1.0],
-                    SeedSpec(49, (s,)))
+        alone = run(state, params, 1.0, [0.5, 1.0], SeedSpec(49, (s,)))
         assert np.array_equal(paired.final.a, alone.final.labels), s
         assert np.array_equal(paired.counts_a, alone.counts), s
         assert np.array_equal(paired.final.x, alone.final.x), s
         infections += alone.final.counters.infections
     assert infections > 0
+    # a paired state is run's state with the b labels added
+    assert isinstance(paired.final, EnsembleState) and paired.final.a is paired.final.labels
+
+
+@pytest.mark.parametrize("loop", ["per_agent", "pair", "coupled"])
+def test_loops_leave_their_start_state_unchanged(loop):
+    # run and run_coupled take one state and may share it, so neither may
+    # write into it; a mid-run state has events in its counters
+    n = 60
+    params = make_params(n, lam=3.0, radius=0.3)
+    start = run(sample_initial(uniform_sir(SIDE, 0.8, 0.2, 0.0), n, SeedSpec(46).rng()),
+                params, 0.5, [], SeedSpec(47)).final
+    assert start.counters.infections > 0
+    before = copy.deepcopy(start)
+    if loop == "coupled":
+        traj = run_coupled(start, params, constant_oracle(SIDE, 0.2, 2.0), 1.5, [1.5],
+                           SeedSpec(48))
+    else:
+        traj = run(start, params, 1.5, [1.5], SeedSpec(48), interaction=loop)
+    assert traj.final.counters.infections > 0
+    assert start.t == 0.5 and same_state(start, before)
 
 
 def test_duplicate_sample_times_give_one_row_each():
@@ -326,7 +343,7 @@ def test_duplicate_sample_times_give_one_row_each():
     ens = run_ensemble(n, ic, orc, params, 1.0, times, SeedSpec(42))
     agents = run(sample_initial(ic, n, SeedSpec(43).rng()), params, 1.0, times,
                  SeedSpec(44))
-    paired = run_coupled(sample_coupled_initial(ic, n, SeedSpec(43).rng()), params, orc,
+    paired = run_coupled(sample_initial(ic, n, SeedSpec(43).rng()), params, orc,
                          1.0, times, SeedSpec(44))
     for traj_times, counts in ((ens.times, ens.counts), (agents.times, agents.counts),
                                (paired.times, paired.counts_a)):
@@ -340,7 +357,8 @@ def synchronous_reference(initial, params, oracle, t_max, seed):
     event, and jumps go through the scalar rules.  Consumes the same
     windowed ``BlockDraws`` as ``run_coupled``, merged in time order.
     Returns the final state and the b-attempt channel counts."""
-    state = copy.deepcopy(initial)
+    state = CoupledEnsemble(initial.x.copy(), initial.theta.copy(), initial.labels.copy(),
+                            b=initial.labels.copy())
     tally = dict.fromkeys(("b_proposals", "partner_fires", "residual_fires",
                            "thinned"), 0)
     d = BlockDraws(seed.rng(), state.n, params, 0.0, t_max)
@@ -396,7 +414,7 @@ def test_run_coupled_matches_synchronous_reference(n, solved_oracle):
     ic = uniform_sir(SIDE, 0.7, 0.3, 0.0)
     for s in range(20):
         seed = SeedSpec(31).child(n, s)
-        state = sample_coupled_initial(ic, n, seed.child(0).rng())
+        state = sample_initial(ic, n, seed.child(0).rng())
         fast = run_coupled(state, params, solved_oracle, 1.5, [0.0, 1.5],
                            seed.child(1)).final
         ref, _ = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
@@ -500,7 +518,7 @@ def test_run_coupled_counts_each_b_channel(solved_oracle):
     totals = np.zeros(6, dtype=np.int64)
     for s in range(5):
         seed = SeedSpec(33).child(s)
-        state = sample_coupled_initial(ic, n, seed.child(0).rng())
+        state = sample_initial(ic, n, seed.child(0).rng())
         ch = run_coupled(state, params, solved_oracle, 1.5, [0.0, 1.5],
                          seed.child(1)).channels
         _, tally = synchronous_reference(state, params, solved_oracle, 1.5, seed.child(1))
@@ -527,7 +545,7 @@ def test_marginal_consistency_reduced():
     i_a, i_p, i_b, i_m = [], [], [], []
     for r in range(reps):
         seed = base.child(0, r)
-        st = sample_coupled_initial(ic, n, seed.child(0).rng())
+        st = sample_initial(ic, n, seed.child(0).rng())
         tr = run_coupled(st, params, orc, 1.0, [1.0], seed.child(1))
         i_a.append(tr.counts_a[-1][1])
         i_b.append(tr.counts_b[-1][1])

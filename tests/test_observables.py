@@ -7,7 +7,7 @@ from epichaos import (CoupledEnsemble, EnsembleState, GridMismatchError, GridSpe
                       KineticField, Label, ModelParams, SeedSpec, constant_oracle,
                       empirical_marginal, ensemble_aggregate, field_from_initial,
                       l1_distance, mismatch_fraction, pair_factorization_gap,
-                      run_coupled, sample_coupled_initial, sample_initial,
+                      run_coupled, sample_initial,
                       uniform_sir)
 from epichaos.core import TWO_PI
 
@@ -84,7 +84,7 @@ def test_transport_cost_equals_mismatch():
     a = rng.integers(0, 3, 500).astype(np.int8)
     b = rng.integers(0, 3, 500).astype(np.int8)
     x, theta = rng.random((500, 2)), rng.random(500) * TWO_PI
-    pair = CoupledEnsemble(x, theta, a, b)
+    pair = CoupledEnsemble(x, theta, a, b=b)
     assert mismatch_fraction(pair.a, pair.b) == pytest.approx(np.mean(a != b))
     assert mismatch_fraction(a, a) == 0.0
 
@@ -93,8 +93,7 @@ def test_wasserstein_upper_bound_sequence():
     params = ModelParams(n=40, side=SIDE, radius=0.1, infection_rate=0.0,
                          recovery_rate=0.5)
     orc = constant_oracle(SIDE, 0.0, 1.0)
-    state = sample_coupled_initial(uniform_sir(SIDE, 0.5, 0.5, 0.0), 40,
-                                   SeedSpec(7).rng())
+    state = sample_initial(uniform_sir(SIDE, 0.5, 0.5, 0.0), 40, SeedSpec(7).rng())
     traj = run_coupled(state, params, orc, 1.0, [0.0, 0.5, 1.0], SeedSpec(8))
     bounds = traj.mismatch
     assert bounds[0] == 0.0
