@@ -22,6 +22,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -267,17 +268,12 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                      raw=raw)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """The header and rows as CSV lines.  ``str`` of a Python float is its
+    shortest round-trip ``repr``.  The lines go through the file's buffer
+    one by one, so a large table is never held as one text."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _config_fingerprint(cfg: RunConfig) -> dict:
@@ -317,7 +313,7 @@ def _solve_oracle(cfg: RunConfig):
 
 def _rows(*columns):
     """Table rows from equal-shape columns, each read in C order.  ``tolist``
-    gives Python ints and floats, which ``_fmt`` writes as it writes
+    gives Python ints and floats, which ``_write_csv`` writes as it writes
     numbers computed in Python."""
     return list(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
 
@@ -364,10 +360,12 @@ def _couple_chunk(cfg: RunConfig, oracle: FieldOracle, n: int, rids):
 
 
 def _pool_map(task, jobs, threads):
-    """``task`` over ``jobs`` in order, on at most one worker per job.  A
-    pool pickles the task with each job, so the jobs are ranges of replica
-    ids and the task holds the config and the oracle."""
-    workers = min(threads, len(jobs))
+    """``task`` over ``jobs`` in order, on at most one worker per job and
+    per CPU: ``threads`` is not bounded, so a config that asks for more
+    workers than the machine has runs on every CPU.  A pool pickles the task
+    with each job, so the jobs are ranges of replica ids and the task holds
+    the config and the oracle."""
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [task(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -508,7 +506,7 @@ def _run_study(cfg: RunConfig):
         means = [mismatch[n][:, t_idx].mean() for n in cfg.n_values]
         if min(means) <= 0:
             zero = ", ".join(str(n) for n, m in zip(cfg.n_values, means) if m <= 0)
-            print(f"note: slope.csv skips t={_fmt(t)}: mean mismatch is 0 "
+            print(f"note: slope.csv skips t={t}: mean mismatch is 0 "
                   f"for n = {zero}", file=sys.stderr)
             skipped.append(t)
             continue
@@ -517,7 +515,7 @@ def _run_study(cfg: RunConfig):
                            float(slope - 1.96 * se), float(slope + 1.96 * se)))
     outputs["slope.csv"] = (["time", "slope", "stderr", "ci95_lo", "ci95_hi"], slope_rows)
     if slope_rows:
-        outputs["plot.gp"] = _GNUPLOT_TEMPLATE.format(time=_fmt(slope_rows[-1][0]))
+        outputs["plot.gp"] = _GNUPLOT_TEMPLATE.format(time=slope_rows[-1][0])
     return outputs, {**extra, "slope_skipped_times": skipped}
 
 

@@ -7,7 +7,9 @@ three-state health label with absorbing R, and a (master seed, stream key)
 scheme that hands out reproducible, statistically independent generators.
 Flights, recovery clocks and infection proposals never read a label, so
 ``label_free_pass`` draws them up front for the three event loops, which
-then only resolve labels (``LabelTimes``).
+then only resolve labels (``LabelTimes``).  ``Path`` keeps the flights and
+clocks agent by agent and finds an agent's segment or next tick by
+counting forward from its first one.
 """
 
 import math
@@ -208,35 +210,44 @@ class Path:
     [t0, t_max), built from the velocity jumps and recovery ticks of
     ``draws``.
 
-    Segments and ticks are sorted by (agent, time), kept as the complex key
-    agent + 1j * time, which numpy sorts and searches in that lexicographic
-    order.  Agent a's segments start with its initial position and
-    heading; each later start position is the previous one advanced with
-    the ``wrap`` arithmetic.  Lookups take arrays of agents and times.
+    Segments are sorted by (agent, time): agent a's run from ``head[a]``,
+    each with its ``start`` time and ``t_next``, the start of the same
+    agent's next segment or +inf after its last.  Agent a's segments start
+    with its initial position and heading; each later start position is the
+    previous one advanced with the ``wrap`` arithmetic.  Ticks are laid out
+    the same way from ``tick_head[a]``, in time order, with one +inf after
+    each agent's ticks.  A lookup counts forward from the agent's head, one
+    pass per later segment or tick, so its cost grows with the jump count of
+    the busiest agent queried, not with log of the total.  Lookups take
+    arrays of agents and times, or scalars.
     """
 
     def __init__(self, x, theta, t0: float, side: float, draws: BlockDraws):
         n = theta.shape[0]
         self.n, self.t0, self.side = n, t0, side
         self.jump_t = draws.jump_t
-        count = np.bincount(draws.jump_agent, minlength=n) + 1
-        head = np.cumsum(count) - count
-        by_agent = np.argsort(draws.jump_agent, kind="stable")
-        seg = np.arange(by_agent.size) + draws.jump_agent[by_agent] + 1
-        self.key = np.repeat(np.arange(n) + 1j * t0, count)
-        self.key[seg] = draws.jump_agent[by_agent] + 1j * draws.jump_t[by_agent]
-        self.theta = np.empty(self.key.size)
+        count, self.head, by_agent, slot = _layout(draws.jump_agent, n)
+        # slot head[a] holds agent a's initial segment, its k-th jump head[a] + k + 1
+        seg = slot + 1
+        size = seg.size + n
+        self.start = np.full(size, float(t0))
+        self.start[seg] = draws.jump_t[by_agent]
+        self.t_next = np.empty(size)
+        self.t_next[:-1] = self.start[1:]
+        self.t_next[self.head + count - 1] = np.inf
+        self.theta = np.empty(size)
         self.theta[seg] = draws.jump_theta[by_agent]
-        self.theta[head] = theta
-        self.x = np.empty((self.key.size, 2))
-        self.x[head] = x
-        t = self.key.imag
+        self.theta[self.head] = theta
+        self.x = np.empty((size, 2))
+        self.x[self.head] = x
         for k in range(1, int(count.max())):
-            cur = head[count > k] + k
-            self.x[cur] = self._advance(cur - 1, t[cur])
-        by_agent = np.argsort(draws.tick_agent, kind="stable")
-        # a sentinel agent n ends the last agent's ticks
-        self.tick_key = np.append(draws.tick_agent[by_agent] + 1j * draws.tick_t[by_agent], n)
+            cur = self.head[count > k] + k
+            self.x[cur] = self._advance(cur - 1, self.start[cur])
+        # agent a's ticks fill slots tick_head[a] on, and its spare slot,
+        # the last, stays +inf
+        _, self.tick_head, by_agent, slot = _layout(draws.tick_agent, n)
+        self.tick_t = np.full(slot.size + n, np.inf)
+        self.tick_t[slot] = draws.tick_t[by_agent]
 
     def _advance(self, s, t):
         """Positions at times t on segments s."""
@@ -244,13 +255,13 @@ class Path:
         dx = np.empty(th.shape + (2,))
         np.cos(th, out=dx[..., 0])
         np.sin(th, out=dx[..., 1])
-        dx *= (t - self.key.imag[s])[..., None]
+        dx *= (t - self.start[s])[..., None]
         dx += self.x[s]
         return wrap(dx, self.side)
 
     def segment(self, agents, t):
         """Each agent's segment at time t: the last one starting by t."""
-        return self.key.searchsorted(agents + 1j * t, side="right") - 1
+        return _count_forward(self.t_next, self.head[agents], t)
 
     def positions(self, agents, t):
         """Positions of the agents at times t, shape (..., 2)."""
@@ -258,7 +269,7 @@ class Path:
 
     def state_at(self, s: float):
         """Positions and headings of all agents at time s."""
-        seg = self.segment(np.arange(self.n), s)
+        seg = self.head + np.add.reduceat(self.start <= s, self.head) - 1
         return self._advance(seg, s), self.theta[seg]
 
     def jumps_before(self, s: float) -> int:
@@ -276,8 +287,29 @@ class Path:
 
     def recovery_after(self, agents, t):
         """Each agent's first recovery tick after time t, or inf."""
-        k = self.tick_key[self.tick_key.searchsorted(agents + 1j * t, side="right")]
-        return np.where(k.real == agents, k.imag, np.inf)
+        return self.tick_t[_count_forward(self.tick_t, self.tick_head[agents], t)]
+
+
+def _layout(agent, n: int):
+    """Events of n agents laid out by (agent, time) with one spare slot per
+    agent: each agent's slot count (its events + 1) and first slot, the
+    order that sorts the events by agent, and each sorted event's slot, the
+    k-th event of agent a at first[a] + k.  Events of one agent must come in
+    time order."""
+    by_agent = np.argsort(agent, kind="stable")
+    count = np.bincount(agent, minlength=n) + 1
+    return count, np.cumsum(count) - count, by_agent, np.arange(agent.size) + agent[by_agent]
+
+
+def _count_forward(ahead, i, t):
+    """From slots i, step each to the next slot while ``ahead`` of it is by
+    t.  Every agent's last ``ahead`` is +inf, so no query steps past its own
+    agent's slots."""
+    while True:
+        step = ahead[i] <= t
+        if not step.any():
+            return i
+        i = i + step
 
 
 def label_free_pass(x, theta, t0: float, t_max: float, params: ModelParams,

@@ -183,18 +183,35 @@ class _RecordingPool:
         return map(fn, jobs)
 
 
+def _pool_sizes(tmp_path, monkeypatch, kind, replicas, threads, cpus):
+    """The sizes of the pools a run asks for on a machine of that many CPUs.
+    The pools are only recorded, so no worker process starts at any size."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL)
+    assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--replicas", str(replicas), "--threads", str(threads)]) == 0
+    return _RecordingPool.sizes
+
+
 @pytest.mark.parametrize("kind,replicas,threads,workers", [
     ("particle", 2, 64, [2]), ("meanfield", 5, 64, [5]), ("particle", 3, 2, [2]),
     ("meanfield", 1, 8, []), ("couple", 2, 16, [2])])
 def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, kind, replicas, threads,
                                                workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    cfg_path = tmp_path / "c.ini"
-    cfg_path.write_text(FULL)
-    assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                 "--replicas", str(replicas), "--threads", str(threads)]) == 0
-    assert _RecordingPool.sizes == workers
+    assert _pool_sizes(tmp_path, monkeypatch, kind, replicas, threads, 64) == workers
+
+
+@pytest.mark.parametrize("kind,replicas,threads,cpus,workers", [
+    ("meanfield", 5, 64, 2, [2]), ("meanfield", 8, 5000, 2, [2]), ("couple", 2, 16, 2, [2]),
+    ("particle", 3, 5000, 1, []), ("meanfield", 5, 64, None, [])])
+def test_pool_starts_no_more_workers_than_cpus(tmp_path, monkeypatch, kind, replicas, threads,
+                                               cpus, workers):
+    # threads is not bounded, so a config runs on any machine, on at most
+    # its CPUs; os.cpu_count() is None where it cannot tell
+    assert _pool_sizes(tmp_path, monkeypatch, kind, replicas, threads, cpus) == workers
 
 
 @pytest.mark.parametrize("value,parsed", [

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from epichaos import EnsembleState, ModelParams, SeedSpec, in_range, run, wrap
-from epichaos.core import WINDOW, BlockDraws, TWO_PI, label_free_pass, torus_distance
+from epichaos.core import WINDOW, BlockDraws, Path, TWO_PI, label_free_pass, torus_distance
 
 SIDE = 1.0
 
@@ -226,6 +226,87 @@ def test_label_free_pass_stacks_replicas_as_drawn():
     assert start == props[0].size
     # the stacked jump times are in time order within each replica only
     assert path.jumps_before(1.7) == jumps
+
+
+class BruteLookups:
+    """Each agent's segment, heading, position and next tick, found from the
+    draws one agent at a time: the last segment starting by t (segments in
+    (agent, time) order, agent a's first at its initial state) and the
+    first tick after t."""
+
+    def __init__(self, x, theta, t0, draws):
+        self.x, self.theta, self.t0 = x, theta, t0
+        n = theta.size
+        self.jump_t = [draws.jump_t[draws.jump_agent == a] for a in range(n)]
+        self.jump_theta = [draws.jump_theta[draws.jump_agent == a] for a in range(n)]
+        self.tick_t = [draws.tick_t[draws.tick_agent == a] for a in range(n)]
+        self.first = np.cumsum([0] + [j.size + 1 for j in self.jump_t])[:-1]
+
+    def jumps_by(self, a, t):
+        return int(np.count_nonzero(self.jump_t[a] <= t))
+
+    def segment(self, a, t):
+        return self.first[a] + self.jumps_by(a, t)
+
+    def heading(self, a, t):
+        k = self.jumps_by(a, t)
+        return self.jump_theta[a][k - 1] if k else self.theta[a]
+
+    def position(self, a, t):
+        x, s, th = self.x[a], self.t0, self.theta[a]
+        for tj, thj in zip(self.jump_t[a], self.jump_theta[a]):
+            if tj > t:
+                break
+            x, s, th = wrap(x + (tj - s) * np.array([np.cos(th), np.sin(th)]), SIDE), tj, thj
+        return wrap(x + (t - s) * np.array([np.cos(th), np.sin(th)]), SIDE)
+
+    def recovery_after(self, a, t):
+        later = self.tick_t[a][self.tick_t[a] > t]
+        return later[0] if later.size else np.inf
+
+
+@pytest.mark.parametrize("t_max", [1.0, 5.0, 10.0])
+def test_path_lookups_match_a_per_agent_reference(t_max):
+    n, reps, t0 = 5, 3, 0.25
+    params = draw_params(n, gamma=0.3)
+    rng = np.random.default_rng(int(t_max))
+    x, theta = rng.random((reps * n, 2)), rng.random(reps * n) * TWO_PI
+    draws = BlockDraws.stack([BlockDraws(SeedSpec(11, (r,)).rng(), n, params, t0, t_max)
+                              for r in range(reps)], n)
+    path, ref = Path(x, theta, t0, SIDE, draws), BruteLookups(x, theta, t0, draws)
+    agents = np.arange(reps * n)
+    if t_max == 1.0:
+        # agents with no jump and agents with no tick
+        assert min(j.size for j in ref.jump_t) == 0 and min(t.size for t in ref.tick_t) == 0
+    # exactly at every jump and tick, where the tie rules decide, and between
+    times = np.concatenate([[t0, t_max], draws.jump_t, draws.tick_t,
+                            t0 + (t_max - t0) * rng.random(20)])
+    a, t = np.meshgrid(agents, times)
+    want_seg = np.vectorize(ref.segment)(a, t)
+    want_tick = np.vectorize(ref.recovery_after)(a, t)
+    want_theta = np.vectorize(ref.heading)(a, t)
+    assert np.array_equal(path.segment(a, t), want_seg)
+    assert np.array_equal(path.theta[path.segment(a, t)], want_theta)
+    assert np.array_equal(path.recovery_after(a, t), want_tick)
+    pos = path.positions(a, t)
+    want_pos = np.array([[ref.position(i, s) for i in agents] for s in times])
+    assert torus_distance(pos, want_pos, SIDE).max() < 1e-12
+    # agents and partners stacked as in ``near``: array agents, times per column
+    pairs = np.stack([a.ravel(), a.ravel()[::-1]])
+    assert np.array_equal(path.positions(pairs, t.ravel()),
+                          np.stack([pos.reshape(-1, 2), path.positions(pairs[1], t.ravel())]))
+    for k, s in enumerate(times.tolist()):
+        # a scalar time with array agents (the p scan of ``run_coupled``)
+        assert np.array_equal(path.segment(agents, s), want_seg[k])
+        assert np.array_equal(path.positions(agents, s), pos[k])
+        assert np.array_equal(path.recovery_after(agents, s), want_tick[k])
+        got_x, got_theta = path.state_at(s)
+        assert np.array_equal(got_x, pos[k])
+        assert np.array_equal(got_theta, want_theta[k])
+    for i, s in zip(a.ravel()[::7].tolist(), t.ravel()[::7].tolist()):
+        # a scalar agent at a scalar time (``infect``)
+        assert path.segment(i, s) == ref.segment(i, s)
+        assert path.recovery_after(i, s) == ref.recovery_after(i, s)
 
 
 def test_model_params_validation():

@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (ConfigError, EnsembleState, GridError, GridSpec, Label, ModelParams,
-                      SeedSpec, run, sample_initial, uniform_sir)
+from epichaos import (ConfigError, Counters, EnsembleState, GridError, GridSpec, Label,
+                      ModelParams, SeedSpec, run, sample_initial, uniform_sir)
 from epichaos.core import TWO_PI
 from epichaos.particle import check_sample_times
 from epichaos.oracles import master_equation_solve, state_index
@@ -198,6 +199,40 @@ def test_run_is_deterministic():
     assert np.array_equal(a.final.x, b.final.x)
     assert np.array_equal(a.final.theta, b.final.theta)
     assert np.array_equal(a.final.labels, b.final.labels)
+
+
+#: (interaction, seed): counts at t = 0, 2.5, 5, the sha256 of the final
+#: x, theta and labels bytes, and the final counters of a run of 2000 agents
+PINNED_RUNS = {
+    ("per_agent", 5): ([[1792, 208, 0], [1787, 77, 136], [1784, 30, 186]],
+        "ee6719193b147a1f6a30783f17606f60fc259510f9f8bbfcd4902f5137708925",
+        Counters(velocity_jumps=9932, recoveries=186, infection_proposals=9788, infections=8)),
+    ("per_agent", 6): ([[1802, 198, 0], [1794, 58, 148], [1793, 17, 190]],
+        "909bb53821656cf6591bfdd1461c6c52b84eabf3523f236d673bbac665ee6a71",
+        Counters(velocity_jumps=10056, recoveries=190, infection_proposals=9988, infections=9)),
+    ("pair", 5): ([[1792, 208, 0], [1778, 68, 154], [1777, 16, 207]],
+        "d476280948089664483abfa313990b4d645f52dbc023c52398e49d2e3623fe46",
+        Counters(velocity_jumps=10005, recoveries=207, infection_proposals=5017, infections=15)),
+    ("pair", 6): ([[1802, 198, 0], [1795, 73, 132], [1793, 17, 190]],
+        "426f2f919b2cb6d409dcd49bbc5d165b64d75c3e28179ee84efe2cb2961f761d",
+        Counters(velocity_jumps=10072, recoveries=190, infection_proposals=5005, infections=9)),
+}
+
+
+@pytest.mark.parametrize("interaction,seed", list(PINNED_RUNS))
+def test_run_keeps_its_pinned_outputs(interaction, seed):
+    counts, digest, counters = PINNED_RUNS[interaction, seed]
+    state = sample_initial(uniform_sir(1.0, 0.9, 0.1, 0.0), 2000, SeedSpec(seed).rng())
+    traj = run(state, make_params(2000), 5.0, [0.0, 2.5, 5.0], SeedSpec(seed).child(1),
+               interaction=interaction)
+    final = traj.final
+    assert traj.counts.tolist() == counts
+    assert final.x.dtype == final.theta.dtype == np.float64 and final.labels.dtype == np.int8
+    sha = hashlib.sha256()
+    for arr in (final.x, final.theta, final.labels):
+        sha.update(np.ascontiguousarray(arr).tobytes())
+    assert sha.hexdigest() == digest
+    assert final.counters == counters
 
 
 def test_small_system_matches_master_equation():
