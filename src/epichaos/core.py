@@ -32,15 +32,43 @@ class Label(IntEnum):
     R = 2
 
 
+#: The size from which ``remainder`` computes with arithmetic instead of
+#: ``np.mod``.  Both give the same bits; below this the arithmetic's eight
+#: numpy calls cost more than ``np.mod``'s libm ``fmod`` on every value.
+REMAINDER_MIN_SIZE = 512
+
+
+def remainder(x, side, fold: bool = False):
+    """``np.mod(x, side)`` bit for bit; with ``fold``, a result that rounds
+    up to exactly ``side`` becomes 0.
+
+    A float64 array of at least ``REMAINDER_MIN_SIZE`` values, all within
+    [-side, 2 side), takes plain arithmetic: x + side below 0, rounded as
+    ``np.mod`` rounds it; x - side from side on, which is exact (Sterbenz);
+    x itself between, with -0.0 made +0.0.  Anything else (a scalar, a
+    small array, another dtype, a value outside that interval, nan or inf)
+    goes through ``np.mod``.
+    """
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.size >= REMAINDER_MIN_SIZE
+            and -side <= x.min() and x.max() < 2 * side):
+        r = x + (x < 0) * side
+        r -= ((r if fold else x) >= side) * side
+        return r
+    r = np.mod(x, side)
+    if not fold:
+        return r
+    return np.where(r >= side, 0.0, r) if isinstance(r, np.ndarray) else (0.0 if r >= side else r)
+
+
 def wrap(x, side):
-    """Canonicalize coordinates into [0, side).
+    """Canonicalize coordinates into [0, side): ``np.mod``'s bits, computed
+    by ``remainder``'s arithmetic where the input allows it.
 
     Plain modulo can round a tiny negative input up to exactly ``side``;
     that value is folded back to 0 so downstream cell indexing stays valid.
     Idempotent bit-for-bit on already-canonical input.
     """
-    r = np.mod(x, side)
-    return np.where(r >= side, 0.0, r) if isinstance(r, np.ndarray) else (0.0 if r >= side else r)
+    return remainder(x, side, fold=True)
 
 
 def torus_distance(x1, x2, side: float) -> float:
@@ -58,8 +86,10 @@ def torus_distance(x1, x2, side: float) -> float:
 def in_range(x1, x2, r0: float, side: float):
     """True iff the wrapped distance is strictly below r0."""
     d = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
-    d = np.minimum(d, side - d)
-    return (d * d).sum(axis=-1) < r0 * r0
+    np.minimum(d, side - d, out=d)
+    d *= d
+    # the two squares added in the order sum(axis=-1) adds them
+    return d[..., 0] + d[..., 1] < r0 * r0
 
 
 @dataclass(frozen=True)
@@ -210,11 +240,14 @@ class Path:
     [t0, t_max), built from the velocity jumps and recovery ticks of
     ``draws``.
 
-    Segments are sorted by (agent, time): agent a's run from ``head[a]``,
-    each with its ``start`` time and ``t_next``, the start of the same
-    agent's next segment or +inf after its last.  Agent a's segments start
-    with its initial position and heading; each later start position is the
-    previous one advanced with the ``wrap`` arithmetic.  Ticks are laid out
+    Segments are sorted by (agent, time): agent a's run from ``head[a]``.
+    A segment stores its ``start`` time, ``t_next`` (the start of the same
+    agent's next segment, or +inf after its last), its start position
+    ``x``, its heading ``theta`` and its unit velocity ``v`` = (cos theta,
+    sin theta), computed once, so a position is v (t - start) + x, wrapped,
+    with no trigonometry per query.  Agent a's segments start with its
+    initial position and heading; each later start position is the previous
+    one advanced with the ``wrap`` arithmetic.  Ticks are laid out
     the same way from ``tick_head[a]``, in time order, with one +inf after
     each agent's ticks.  A lookup counts forward from the agent's head, one
     pass per later segment or tick, so its cost grows with the jump count of
@@ -225,7 +258,6 @@ class Path:
     def __init__(self, x, theta, t0: float, side: float, draws: BlockDraws):
         n = theta.shape[0]
         self.n, self.t0, self.side = n, t0, side
-        self.jump_t = draws.jump_t
         count, self.head, by_agent, slot = _layout(draws.jump_agent, n)
         # slot head[a] holds agent a's initial segment, its k-th jump head[a] + k + 1
         seg = slot + 1
@@ -238,6 +270,9 @@ class Path:
         self.theta = np.empty(size)
         self.theta[seg] = draws.jump_theta[by_agent]
         self.theta[self.head] = theta
+        self.v = np.empty((size, 2))
+        np.cos(self.theta, out=self.v[:, 0])
+        np.sin(self.theta, out=self.v[:, 1])
         self.x = np.empty((size, 2))
         self.x[self.head] = x
         for k in range(1, int(count.max())):
@@ -251,12 +286,9 @@ class Path:
 
     def _advance(self, s, t):
         """Positions at times t on segments s."""
-        th = self.theta[s]
-        dx = np.empty(th.shape + (2,))
-        np.cos(th, out=dx[..., 0])
-        np.sin(th, out=dx[..., 1])
-        dx *= (t - self.start[s])[..., None]
-        dx += self.x[s]
+        dx = self.v.take(s, axis=0)
+        dx *= (t - self.start.take(s))[..., None]
+        dx += self.x.take(s, axis=0)
         return wrap(dx, self.side)
 
     def segment(self, agents, t):
@@ -268,13 +300,17 @@ class Path:
         return self._advance(self.segment(agents, t), t)
 
     def state_at(self, s: float):
-        """Positions and headings of all agents at time s."""
+        """Positions and headings of all agents at time s; ValueError before
+        t0, where no agent has a segment yet."""
+        if not s >= self.t0:
+            raise ValueError(f"time {s} before the path's start {self.t0}")
         seg = self.head + np.add.reduceat(self.start <= s, self.head) - 1
         return self._advance(seg, s), self.theta[seg]
 
     def jumps_before(self, s: float) -> int:
-        # counted, not searched: jumps of stacked replicas are not in time order
-        return int(np.count_nonzero(self.jump_t < s))
+        # every segment but the n initial ones starts at a jump, and those
+        # start at t0
+        return int(np.count_nonzero(self.start < s)) - (self.n if s > self.t0 else 0)
 
     def near(self, agent, partner, t, radius: float):
         """Per proposal: the partner is another agent, in range at time t."""

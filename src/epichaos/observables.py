@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI
+from .core import TWO_PI, remainder
 from .kinetic import KineticField
 
 
@@ -57,7 +57,9 @@ def empirical_marginal(state, m: int, k: int, side: float) -> EmpiricalMarginal:
     binning is deterministic on boundary points.
     """
     x = state.x
-    theta = np.mod(state.theta, TWO_PI)
+    # np.mod's bits without wrap's fold: a heading that rounds up to 2 pi
+    # bins to k - 1
+    theta = remainder(state.theta, TWO_PI)
     labels = state.labels
     n = labels.shape[0]
     h = side / m

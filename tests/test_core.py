@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from epichaos import EnsembleState, ModelParams, SeedSpec, in_range, run, wrap
-from epichaos.core import WINDOW, BlockDraws, Path, TWO_PI, label_free_pass, torus_distance
+from epichaos.core import (REMAINDER_MIN_SIZE, WINDOW, BlockDraws, Path, TWO_PI, label_free_pass,
+                           remainder, torus_distance)
 
 SIDE = 1.0
 
@@ -50,6 +51,29 @@ def test_in_range_radius_beyond_diameter_hits_everything():
     a = rng.random((300, 2))
     b = rng.random((300, 2))
     assert np.all(in_range(a, b, 0.8, SIDE))
+
+
+def in_range_by_sum(x1, x2, r0, side):
+    d = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
+    d = np.minimum(d, side - d)
+    return (d * d).sum(axis=-1) < r0 * r0
+
+
+@pytest.mark.parametrize("side", [1.0, 0.3, 7.0])
+def test_in_range_keeps_the_sum_rule(side):
+    rng = np.random.default_rng(12)
+    r0 = 0.2 * side
+    a, b = rng.random((4000, 2)) * side, rng.random((4000, 2)) * side
+    # partners at distance r0 up to rounding, many across the seam
+    phi = rng.random(4000) * TWO_PI
+    c = wrap(a + r0 * np.column_stack((np.cos(phi), np.sin(phi))), side)
+    seam = np.array([[side - r0 / 2, 0.5 * side], [side - r0 / 4, side - r0 / 4]])
+    across = wrap(seam + np.array([[r0, 0.0], [r0 / 2, r0 / 2]]), side)
+    for x1, x2 in ((a, b), (a, c), (seam, across), (a[0], b), (a[1], c)):
+        got = in_range(x1, x2, r0, side)
+        assert np.array_equal(got, in_range_by_sum(x1, x2, r0, side))
+    got = in_range(a, c, r0, side)
+    assert got.any() and not got.all()
 
 
 def flight_params(n):
@@ -100,6 +124,47 @@ def test_wrap_idempotent_and_edge():
     # scalar path, including the negative-tiny rounding edge
     assert wrap(-1e-18, 1.0) == 0.0
     assert wrap(0.3, 1.0) == 0.3
+
+
+def mod_values(side):
+    """Values on which ``np.mod`` is easy to get wrong, inside [-side,
+    2 side) and outside it."""
+    inside = [-0.0, 0.0, -side, np.nextafter(-side, 0.0), -1e-18 * side, -5e-324,
+              np.nextafter(side, 0.0), side, np.nextafter(side, np.inf), 1.25 * side,
+              1.5 * side, np.nextafter(2 * side, 0.0), 0.5 * side]
+    outside = [2 * side, -5 * side, 9 * side, np.nextafter(-side, -np.inf), np.nan,
+               np.inf, -np.inf]
+    return np.array(inside), np.array(outside)
+
+
+@pytest.mark.parametrize("side", [1.0, 0.3, 7.0])
+def test_wrap_and_remainder_keep_np_mod_bits(side, monkeypatch):
+    inside, outside = mod_values(side)
+    rng = np.random.default_rng(13)
+    tiled = np.tile(inside, REMAINDER_MIN_SIZE // inside.size + 1)
+    spread = rng.uniform(-side, 2 * side, (REMAINDER_MIN_SIZE, 2))
+    arrays = [inside, outside, np.concatenate([tiled, outside]), tiled, spread]
+    with np.errstate(invalid="ignore"):
+        want = [np.mod(x, side) for x in arrays]
+        scalars = [np.mod(v, side) for v in np.concatenate([inside, outside]).tolist()]
+    assert want[0][4] == side  # the tiny negative rounds up to side
+
+    def same(got, mod):
+        return (np.asarray(got, dtype=float).tobytes()
+                == np.where(mod >= side, 0.0, mod).tobytes())
+
+    with np.errstate(invalid="ignore"):
+        for x, mod in zip(arrays, want):
+            assert remainder(x, side).tobytes() == mod.tobytes()
+            assert same(wrap(x, side), mod)
+        for v, mod in zip(np.concatenate([inside, outside]).tolist(), scalars):
+            assert np.float64(remainder(v, side)).tobytes() == mod.tobytes()
+            assert same(wrap(v, side), mod)
+    # large arrays within [-side, 2 side) take the arithmetic, not np.mod
+    monkeypatch.setattr(np, "mod", None)
+    for x, mod in zip(arrays[3:], want[3:]):
+        assert remainder(x, side).tobytes() == mod.tobytes()
+        assert same(wrap(x, side), mod)
 
 
 def headings(seed, n):
@@ -226,6 +291,32 @@ def test_label_free_pass_stacks_replicas_as_drawn():
     assert start == props[0].size
     # the stacked jump times are in time order within each replica only
     assert path.jumps_before(1.7) == jumps
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_jumps_before_counts_the_drawn_jumps(reps):
+    n, t0, t_max = 5, 0.25, 2.6
+    params = draw_params(n)
+    draws = [BlockDraws(SeedSpec(14, (r,)).rng(), n, params, t0, t_max) for r in range(reps)]
+    draws = BlockDraws.stack(draws, n) if reps > 1 else draws[0]
+    rng = np.random.default_rng(14)
+    path = Path(rng.random((reps * n, 2)), rng.random(reps * n) * TWO_PI, t0, SIDE, draws)
+    assert not hasattr(path, "jump_t")
+    for s in (t0, draws.jump_t[0], draws.jump_t[-1], draws.jump_t[draws.jump_t.size // 2],
+              0.5 * (t0 + t_max), t_max):
+        assert path.jumps_before(s) == np.count_nonzero(draws.jump_t < s)
+
+
+def test_state_before_the_path_starts_is_refused():
+    n, t0 = 4, 1.0
+    draws = BlockDraws(SeedSpec(15).rng(), n, draw_params(n), t0, 3.0)
+    path = Path(np.full((n, 2), 0.5), np.arange(n) * 0.5, t0, SIDE, draws)
+    with pytest.raises(ValueError):
+        path.state_at(0.5)
+    with pytest.raises(ValueError):
+        path.state_at(np.nan)
+    x, theta = path.state_at(t0)
+    assert np.array_equal(x, np.full((n, 2), 0.5)) and np.array_equal(theta, np.arange(n) * 0.5)
 
 
 class BruteLookups:

@@ -33,6 +33,24 @@ def test_marginal_uniform_sample_is_uniform():
     assert np.abs(counts - n * p).max() < 5 * sd
 
 
+@pytest.mark.parametrize("copies", [1, 64])
+def test_marginal_heading_bins_keep_np_mod_bits(copies):
+    # headings in [-2 pi, 4 pi) around the ends of [0, 2 pi), in a small
+    # array (np.mod) and a large one (arithmetic); a heading just below 0
+    # rounds up to 2 pi and bins to k - 1, not 0
+    k = 8
+    edge = np.array([-0.0, 0.0, -1e-18, -5e-324, -TWO_PI, np.nextafter(-TWO_PI, 0.0),
+                     np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0), 1.5 * TWO_PI,
+                     np.nextafter(2 * TWO_PI, 0.0), 11.0])
+    theta = np.tile(edge, copies)
+    n = theta.size
+    state = EnsembleState(np.full((n, 2), 0.3), theta, np.zeros(n, dtype=np.int8))
+    got = empirical_marginal(state, 4, k, SIDE).counts[0, 1, 1]
+    bins = np.minimum((np.mod(theta, TWO_PI) / (TWO_PI / k)).astype(np.int64), k - 1)
+    assert np.array_equal(got, np.bincount(bins, minlength=k))
+    assert bins[2] == k - 1
+
+
 def test_marginal_density_sums_to_one():
     state = sample_initial(uniform_sir(SIDE, 0.5, 0.3, 0.2), 5000, SeedSpec(2).rng())
     marg = empirical_marginal(state, 8, 4, SIDE)
