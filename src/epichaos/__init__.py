@@ -10,8 +10,7 @@ from .particle import (ConfigError, Counters, EnsembleState, Trajectory, run,
                        sample_initial)
 from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
                       KineticField, field_from_initial, infection_intensity,
-                      load_field, reaction_step, save_field, scattering_step,
-                      solve, transport_step)
+                      load_field, save_field, solve)
 from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, ensemble_counts,
                         run_ensemble)
 from .coupling import (CoupledEnsemble, CoupledTrajectory, b_attempt, mismatch_bound,

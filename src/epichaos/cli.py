@@ -250,6 +250,8 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
         fail("run.n_values", f"agent counts must be >= 1, got {min(n_values)}")
     if interaction not in ("per_agent", "pair"):
         fail("run.interaction", f"must be per_agent or pair, got {interaction!r}")
+    elif interaction == "pair" and kind in ("couple", "study"):
+        fail("run.interaction", f"{kind} runs the per_agent form only, got 'pair'")
     if threads is not None and threads < 1:
         fail("run.threads", f"must be >= 1, got {threads}")
     # a slope needs two counts; a repeated count reruns the same seeds
@@ -665,6 +667,9 @@ def main(argv=None) -> int:
         return run_experiment(cfg, args.out)
     except (ConfigError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a huge rate asks for a huge block of draws
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

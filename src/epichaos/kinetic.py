@@ -20,12 +20,11 @@ first.  The sub-steps themselves run on a heading-first (k, 3, m, m)
 working array, where each heading's slab is contiguous and the angular
 sums run over the outer axis.  ``solve`` holds two such buffers for the
 whole run: scattering works in place, and reaction and transport write
-into the other buffer, so a step allocates nothing of full size.  The
-public ``transport_step``, ``scattering_step`` and ``reaction_step`` copy
-a field into that layout and run the same array-level functions.  Every
-intensity, recorded or returned by ``infection_intensity``, is computed
-from the densities of one heading-first array (``_densities``), so the two
-agree bit for bit.
+into the other buffer, so a step allocates nothing of full size.
+``transport_step``, ``scattering_step`` and ``reaction_step`` are those
+sub-steps, on heading-first arrays.  Every intensity, recorded or returned
+by ``infection_intensity``, is computed from the densities of one
+heading-first array (``_densities``), so the two agree bit for bit.
 """
 
 import math
@@ -219,7 +218,7 @@ def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
         np.add(out, scratch, out=out)
 
 
-def _transport(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:
+def transport_step(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:
     """Advect each heading slice of ``work`` by its own constant displacement
     into ``out``."""
     k = work.shape[0]
@@ -230,7 +229,7 @@ def _transport(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:
         _linear_shift(mid, math.sin(theta) * dt / h, 2, out[kv], scratch)
 
 
-def _relax(work: np.ndarray, dt: float) -> None:
+def scattering_step(work: np.ndarray, dt: float) -> None:
     """Relax every cell of ``work`` exactly toward its angular mean, in place."""
     decay = math.exp(-dt)
     fbar = work.mean(axis=0)
@@ -247,15 +246,16 @@ def _exchange(a, b, factor, a_out, b_out) -> None:
     np.add(b, a, out=b_out)
 
 
-def _react(work: np.ndarray, out: np.ndarray, nf: np.ndarray, params: ModelParams,
-           dt: float, adjoint: bool) -> None:
+def reaction_step(work: np.ndarray, out: np.ndarray, nf: np.ndarray, params: ModelParams,
+                  dt: float, adjoint: bool) -> None:
     """Label exchange of ``work`` into ``out`` with the intensity ``nf``
     frozen over dt; overwrites ``work``.
 
     S decays into I at rate infection_rate * nf, then I decays into R at
     rate recovery_rate, both as exact exponential updates; ``adjoint``
-    applies the two exchanges in the opposite order.  The per-cell label
-    sum is conserved.
+    applies the two exchanges in the opposite order, which ``solve`` uses on
+    the trailing half-step to keep the splitting symmetric.  The per-cell
+    label sum is conserved.
     """
     ds = np.exp(-params.infection_rate * dt * nf)
     di = math.exp(-params.recovery_rate * dt)
@@ -299,32 +299,6 @@ def _corrected_intensity(rho: np.ndarray, nf0: np.ndarray, params: ModelParams,
     else:
         rho_i_pred = (rho[1] + rho[0] * (1.0 - ds)) * di
     return 0.5 * (nf0 + _intensity(kernel, rho_i_pred))
-
-
-def transport_step(fld: KineticField, dt: float) -> KineticField:
-    """Advect each heading slice by its own constant displacement."""
-    work = _to_working(fld.values)
-    out = np.empty_like(work)
-    _transport(work, out, dt, fld.side / fld.m)
-    return KineticField(_from_working(out), fld.side, fld.t + dt)
-
-
-def scattering_step(fld: KineticField, dt: float) -> KineticField:
-    """Exact relaxation of every cell toward its angular mean."""
-    work = _to_working(fld.values)
-    _relax(work, dt)
-    return KineticField(_from_working(work), fld.side, fld.t)
-
-
-def reaction_step(fld: KineticField, nf: np.ndarray, params: ModelParams, dt: float,
-                  adjoint: bool = False) -> KineticField:
-    """Local label exchange with the intensity frozen over dt (``_react``);
-    the solver applies the ``adjoint`` order on the trailing half-step to
-    keep the full splitting symmetric."""
-    work = _to_working(fld.values)
-    out = np.empty_like(work)
-    _react(work, out, nf, params, dt, adjoint)
-    return KineticField(_from_working(out), fld.side, fld.t)
 
 
 def infection_intensity(fld: KineticField, r0: float) -> np.ndarray:
@@ -418,15 +392,15 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
 
     rho, nf = record(work, 0)
     for s in range(1, n_steps + 1):
-        _react(work, spare, _corrected_intensity(rho, nf, params, kernel, half, False),
-               params, half, adjoint=False)
-        _relax(spare, half)
-        _transport(spare, work, dt, h)
-        _relax(work, half)
+        reaction_step(work, spare, _corrected_intensity(rho, nf, params, kernel, half, False),
+                      params, half, adjoint=False)
+        scattering_step(spare, half)
+        transport_step(spare, work, dt, h)
+        scattering_step(work, half)
         rho = _densities(work, dtheta)
         nf = _corrected_intensity(rho, _intensity(kernel, rho[1]), params, kernel, half,
                                   True)
-        _react(work, spare, nf, params, half, adjoint=True)
+        reaction_step(work, spare, nf, params, half, adjoint=True)
         work, spare = spare, work
         rho, nf = record(work, s)
 

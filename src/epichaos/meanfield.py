@@ -146,19 +146,23 @@ def constant_oracle(side: float, value: float, t_max: float, m: int = 4) -> Fiel
 CHUNK_AGENTS = 1 << 16
 
 
-def _ensemble_pass(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
-                   t_max: float, seeds):
-    """One pass over a replica of n independent copies per seed.
+def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
+                 t_max: float, sample_times, *seeds: SeedSpec) -> Trajectory:
+    """n independent copies of the one-particle process per seed, in one
+    pass.  The ``Trajectory`` holds the replicas' agents in the order of
+    ``seeds``; replica r is sampled from ``seeds[r].child(0)`` and draws the
+    per-agent form's label-free pass (partners unread) from
+    ``seeds[r].child(1)``, so it is the run of its seed alone.
 
-    Replica r samples its agents from ``seeds[r].child(0)`` and draws its
-    label-free variates from ``seeds[r].child(1)``; it reads no other
-    replica's draws, so it is the run of its seed alone.  A proposal to an
-    initially susceptible agent is accepted when its u is below the field
-    intensity at the agent's position, looked up in one batch for every u
-    below ``oracle.probe_cap``; an agent's infection time is its first
-    accepted proposal.  Returns the ``Path``, the ``LabelTimes`` and the
-    proposal times of all the agents, replica by replica.
+    A proposal to an initially susceptible agent is accepted when its u is
+    below the field intensity at the agent's position, looked up in one
+    batch for every u below ``oracle.probe_cap``; an agent's infection time
+    is its first accepted proposal.
     """
+    if not seeds:
+        raise TypeError("run_ensemble needs at least one seed")
+    st = check_sample_times(sample_times, t_max)
+    oracle.check_span(0.0, t_max)
     x, theta, labels = map(concat, zip(*[ic.sample(n, s.child(0).rng()) for s in seeds]))
     path, (pt, pa, _, pu) = label_free_pass(wrap(x, params.side), theta, 0.0, t_max, params,
                                             [s.child(1).rng() for s in seeds])
@@ -169,21 +173,8 @@ def _ensemble_pass(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mo
     # agent is its first
     agents, first = np.unique(pa[k], return_index=True)
     lab.infect(agents, pt[k[first]])
-    return path, lab, pt
-
-
-def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
-                 t_max: float, sample_times, seed: SeedSpec) -> Trajectory:
-    """Simulate n independent copies of the one-particle process.
-
-    Flight, recovery clocks and proposals are the label-free pass of the
-    per-agent form; partners go unread.  Proposals are thinned against the
-    field intensity with no loop left (``_ensemble_pass``), and no agent
-    reads another agent's row.
-    """
-    st = check_sample_times(sample_times, t_max)
-    oracle.check_span(0.0, t_max)
-    return Trajectory(st.copy(), *_ensemble_pass(n, ic, oracle, params, t_max, [seed]), t_max)
+    # the Trajectory counts proposals by a search over all replicas' times
+    return Trajectory(st.copy(), path, lab, np.sort(pt), t_max)
 
 
 def ensemble_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
@@ -191,18 +182,19 @@ def ensemble_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: M
     """The (S, I, R) counts at the sample times of ``run_ensemble`` with each
     of ``seeds``, shape (len(seeds), len(sample_times), 3).
 
-    Each pass runs up to ``CHUNK_AGENTS // n`` replicas (at least one) and
-    counts every replica's labels in one ``bincount``.  Replicas never
-    interact, so the counts are those of one ``run_ensemble`` per seed, byte
-    for byte, whatever the chunking.
+    Each chunk of up to ``CHUNK_AGENTS // n`` seeds (at least one) is one
+    ``run_ensemble`` call, and every replica's labels count in one
+    ``bincount`` per sample time.  Replicas never interact, so the counts
+    are those of one ``run_ensemble`` per seed, byte for byte, whatever the
+    chunking.
     """
     st = check_sample_times(sample_times, t_max)
-    oracle.check_span(0.0, t_max)
     counts = np.empty((len(seeds), st.size, 3), dtype=np.int64)
     per = max(1, CHUNK_AGENTS // n)
     for lo in range(0, len(seeds), per):
         chunk = seeds[lo:lo + per]
-        _, lab, _ = _ensemble_pass(n, ic, oracle, params, t_max, chunk)
+        # counted per replica below, so the pass samples no times
+        lab = run_ensemble(n, ic, oracle, params, t_max, (), *chunk).labels
         # replica r's labels count in bins 3r, 3r + 1, 3r + 2
         offset = np.repeat(np.arange(0, 3 * len(chunk), 3), n)
         for j, s in enumerate(st):

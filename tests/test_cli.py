@@ -488,6 +488,39 @@ def test_count_overrides_are_validated(tmp_path, capsys, kind, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["couple", "study"])
+def test_paired_runs_reject_the_pair_interaction(tmp_path, capsys, kind):
+    # a paired run always runs the per-agent form; its manifest would claim pair
+    text = FULL + "n_values = 30 60\n"
+    parse_config(text + "interaction = per_agent\n", kind)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "interaction = pair\n", kind)
+    assert "run.interaction" in str(err.value)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text + "interaction = pair\n")
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run.interaction" in err
+    assert not out.exists()
+
+
+def test_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a huge rate asks BlockDraws for a huge block of draws
+    import epichaos.cli as cli
+
+    def too_big(cfg):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+    monkeypatch.setitem(cli._RUNS, "particle", too_big)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL)
+    out = tmp_path / "o"
+    assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "149. GiB" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weights", ["1 2; 3", "1 2; 3 4;", "1; 2 3"])
 def test_ragged_weights_exit_2(tmp_path, capsys, weights):
     cfg_path = tmp_path / "c.ini"

@@ -1,15 +1,17 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epichaos import (DiscKernel, GridError, GridSpec, KineticField, ModelParams,
-                      field_from_initial, infection_intensity, load_field,
-                      reaction_step, save_field, scattering_step, solve,
-                      transport_step, uniform_sir)
+                      field_from_initial, infection_intensity, load_field, save_field,
+                      solve, uniform_sir)
+from epichaos import kinetic
 from epichaos.core import TWO_PI
-from epichaos.kinetic import _rolled_product
+from epichaos.kinetic import (_from_working, _rolled_product, _to_working, reaction_step,
+                              scattering_step, transport_step)
 from epichaos.oracles import direct_convolution, sir_ode_solve
 
 SIDE = 1.0
@@ -39,19 +41,41 @@ def smooth_field(m, k):
     return KineticField(vals, SIDE, 0.0)
 
 
+# The sub-steps run on heading-first (k, 3, m, m) arrays; these apply one
+# to (3, m, m, k) field values and return values in that layout.
+
+def transported(values, dt):
+    work = _to_working(values)
+    out = np.empty_like(work)
+    transport_step(work, out, dt, SIDE / values.shape[1])
+    return _from_working(out)
+
+
+def scattered(values, dt):
+    work = _to_working(values)
+    scattering_step(work, dt)
+    return _from_working(work)
+
+
+def reacted(values, nf, params, dt, adjoint=False):
+    work = _to_working(values)
+    out = np.empty_like(work)
+    reaction_step(work, out, nf, params, dt, adjoint)
+    return _from_working(out)
+
+
 def test_transport_leaves_constant_field():
-    fld = KineticField(np.full((3, 8, 8, 4), 0.7), SIDE, 0.0)
-    out = transport_step(fld, 0.173)
-    assert np.abs(out.values - 0.7).max() < 1e-14
+    out = transported(np.full((3, 8, 8, 4), 0.7), 0.173)
+    assert np.abs(out - 0.7).max() < 1e-14
 
 
 def test_transport_integer_shift_is_exact_roll():
     m, k = 8, 4
     fld = random_field(m, k, seed=1)
     dt = 3.0 / m  # three cells along the theta = 0 slice
-    out = transport_step(fld, dt)
+    out = transported(fld.values, dt)
     expected = np.roll(fld.values[:, :, :, 0], 3, axis=1)
-    assert np.array_equal(out.values[:, :, :, 0], expected)
+    assert np.array_equal(out[:, :, :, 0], expected)
 
 
 
@@ -59,11 +83,11 @@ def test_transport_fractional_shift_interpolates_linearly():
     m, k = 8, 4
     fld = random_field(m, k, seed=12)
     dt = 2.25 / m  # 2.25 cells along theta = 0, -2.25 along theta = pi
-    out = transport_step(fld, dt)
+    out = transported(fld.values, dt)
     for kv, s, w in ((0, 2, 0.25), (2, -3, 0.75)):
         v = fld.values[:, :, :, kv]
         expected = (1.0 - w) * np.roll(v, s, axis=1) + w * np.roll(v, s + 1, axis=1)
-        assert np.abs(out.values[:, :, :, kv] - expected).max() < 1e-15
+        assert np.abs(out[:, :, :, kv] - expected).max() < 1e-15
 
 
 def roll_transport(values, dt, side):
@@ -95,8 +119,8 @@ def roll_transport(values, dt, side):
 def test_transport_matches_two_pass_roll_reference(m, k, cells):
     fld = random_field(m, k, seed=m + k)
     dt = cells * SIDE / m
-    out = transport_step(fld, dt)
-    assert np.array_equal(out.values, roll_transport(fld.values, dt, SIDE))
+    out = transported(fld.values, dt)
+    assert np.array_equal(out, roll_transport(fld.values, dt, SIDE))
 
 
 @pytest.mark.parametrize("view", [np.s_[:, :, :8], np.s_[:, :, ::2]])
@@ -120,7 +144,7 @@ def test_spectral_matches_rfft2_bit_for_bit(m):
 
 def test_transport_preserves_mass():
     fld = random_field(16, 8, seed=2)
-    out = transport_step(fld, 0.0137)
+    out = KineticField(transported(fld.values, 0.0137), SIDE)
     assert abs(out.mass() - fld.mass()) < 1e-12 * fld.mass()
     assert out.values.min() >= 0.0
 
@@ -128,15 +152,14 @@ def test_transport_preserves_mass():
 def test_scattering_fixed_point_and_limit():
     m, k = 8, 8
     vals = np.random.default_rng(3).random((3, m, m, 1)) * np.ones((3, m, m, k))
-    fld = KineticField(vals.copy(), SIDE, 0.0)
-    out = scattering_step(fld, 0.9)
-    assert np.abs(out.values - vals).max() < 1e-15
+    out = scattered(vals, 0.9)
+    assert np.abs(out - vals).max() < 1e-15
 
     spike = np.zeros((3, m, m, k))
     spike[:, :, :, 2] = 1.0
-    out = scattering_step(KineticField(spike, SIDE, 0.0), 50.0)
-    fbar = out.values.mean(axis=3, keepdims=True)
-    assert np.abs(out.values - fbar).max() < 1e-19
+    out = scattered(spike, 50.0)
+    fbar = out.mean(axis=3, keepdims=True)
+    assert np.abs(out - fbar).max() < 1e-19
 
 
 def test_scattering_relaxes_exactly():
@@ -144,8 +167,8 @@ def test_scattering_relaxes_exactly():
     dt = 1.0
     fbar = fld.values.mean(axis=3, keepdims=True)
     dev0 = fld.values - fbar
-    out = scattering_step(fld, dt)
-    dev1 = out.values - fbar
+    out = scattered(fld.values, dt)
+    dev1 = out - fbar
     # deviations contract by exactly exp(-dt); their variance by exp(-2 dt)
     assert np.abs(dev1 - math.exp(-dt) * dev0).max() < 1e-14
     assert np.var(dev1, axis=3).sum() == pytest.approx(
@@ -180,30 +203,30 @@ def test_intensity_backends_agree():
 
 def test_reaction_identity_without_intensity_and_decay():
     fld = random_field(8, 4, seed=6)
-    out = reaction_step(fld, np.zeros((8, 8)), make_params(gamma=0.0), 0.3)
-    assert np.array_equal(out.values, fld.values)
+    out = reacted(fld.values, np.zeros((8, 8)), make_params(gamma=0.0), 0.3)
+    assert np.array_equal(out, fld.values)
 
 
 def test_reaction_pure_recovery_is_exact_exponential():
     fld = random_field(8, 4, seed=7)
     params = make_params(lam=0.0, gamma=0.9)
     nf = np.zeros((8, 8))
-    cur = fld
+    cur = fld.values
     for _ in range(10):
-        cur = reaction_step(cur, nf, params, 0.05)
+        cur = reacted(cur, nf, params, 0.05)
     expected = fld.values[1] * math.exp(-0.9 * 0.5)
-    assert np.allclose(cur.values[1], expected, rtol=1e-12)
-    assert np.array_equal(cur.values[0], fld.values[0])
+    assert np.allclose(cur[1], expected, rtol=1e-12)
+    assert np.array_equal(cur[0], fld.values[0])
 
 
 def test_reaction_conserves_per_cell_label_sum():
     fld = random_field(16, 4, seed=8)
     nf = np.random.default_rng(9).random((16, 16))
     for adjoint in (False, True):
-        out = reaction_step(fld, nf, make_params(lam=3.0, gamma=1.0), 0.2,
-                            adjoint=adjoint)
+        out = reacted(fld.values, nf, make_params(lam=3.0, gamma=1.0), 0.2,
+                      adjoint=adjoint)
         before = fld.values.sum(axis=0)
-        after = out.values.sum(axis=0)
+        after = out.sum(axis=0)
         assert np.allclose(after, before, rtol=1e-14, atol=1e-18)
 
 
@@ -290,10 +313,10 @@ def test_solve_step_is_the_public_strang_composition():
     kernel = DiscKernel(m, SIDE, params.radius)
     half = 0.5 * grid.dt
 
-    def half_reaction(fld, adjoint):
+    def half_reaction(values, adjoint):
         # trapezoidal intensity: the start value and a predicted end value
-        nf0 = infection_intensity(fld, params.radius)
-        rho_s, rho_i = fld.values[:2].sum(axis=3) * grid.dtheta
+        nf0 = infection_intensity(KineticField(values, SIDE), params.radius)
+        rho_s, rho_i = values[:2].sum(axis=3) * grid.dtheta
         ds = np.exp(-params.infection_rate * half * nf0)
         di = math.exp(-params.recovery_rate * half)
         if adjoint:
@@ -301,18 +324,36 @@ def test_solve_step_is_the_public_strang_composition():
         else:
             pred = (rho_i + rho_s * (1.0 - ds)) * di
         nf1 = np.clip(kernel.spectral(pred), 0.0, 1.0)
-        return reaction_step(fld, 0.5 * (nf0 + nf1), params, half, adjoint=adjoint)
+        return reacted(values, 0.5 * (nf0 + nf1), params, half, adjoint=adjoint)
 
-    fld = smooth_field(m, k)
-    fld = half_reaction(fld, adjoint=False)
-    fld = scattering_step(fld, half)
-    fld = transport_step(fld, grid.dt)
-    fld = scattering_step(fld, half)
-    fld = half_reaction(fld, adjoint=True)
+    values = smooth_field(m, k).values
+    values = half_reaction(values, adjoint=False)
+    values = scattered(values, half)
+    values = transported(values, grid.dt)
+    values = scattered(values, half)
+    values = half_reaction(values, adjoint=True)
     traj = solve(smooth_field(m, k), params, grid, grid.dt, snapshot_times=[grid.dt])
     assert traj.clamp_count == 0
-    assert np.abs(traj.snapshots[0].values - fld.values).max() < 1e-14
-    assert np.abs(traj.nf_values[-1] - infection_intensity(fld, params.radius)).max() < 1e-14
+    assert np.abs(traj.snapshots[0].values - values).max() < 1e-14
+    nf = infection_intensity(KineticField(values, SIDE), params.radius)
+    assert np.abs(traj.nf_values[-1] - nf).max() < 1e-14
+
+
+def test_solve_calls_each_sub_step_by_its_module_name(monkeypatch):
+    # a tracer that wraps the module's names sees every sub-step solve runs:
+    # per step one transport, two half scatterings and two half reactions
+    calls = Counter()
+    for name in ("transport_step", "scattering_step", "reaction_step"):
+        def counted(*args, _name=name, _step=getattr(kinetic, name), **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(kinetic, name, counted)
+    grid = GridSpec(m=8, k=4, dt=1e-2, side=SIDE)
+    steps = 7
+    solve(smooth_field(8, 4), make_params(), grid, steps * grid.dt)
+    assert calls == {"transport_step": steps, "scattering_step": 2 * steps,
+                     "reaction_step": 2 * steps}
+
 
 def test_solve_rejects_off_grid_snapshots():
     grid = GridSpec(m=8, k=4, dt=1e-2, side=SIDE)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -245,6 +246,52 @@ def test_ensemble_counts_equal_one_run_per_seed(monkeypatch, ic, per_pass):
         assert np.array_equal(counts[r], one)
     # the chunk's agents met the field: some were infected during the run
     assert counts[:, -1, 0].sum() < counts[:, 0, 0].sum()
+
+
+def test_run_ensemble_stacks_its_seeds_replica_by_replica():
+    n, t_max = 5, 1.5
+    orc = _varied_oracle()
+    params = make_params(lam=3.0, gamma=1.0, n=n)
+    seeds = SeedSpec(31), SeedSpec(32)
+    both = run_ensemble(n, WEIGHTED, orc, params, t_max, [0.0, 0.75, t_max], *seeds)
+    ones = [run_ensemble(n, WEIGHTED, orc, params, t_max, [0.0, 0.75, t_max], s)
+            for s in seeds]
+    for name in ("inf", "rec"):
+        assert getattr(both.labels, name).tobytes() == \
+            np.concatenate([getattr(one.labels, name) for one in ones]).tobytes()
+    for s in (0.75, t_max):
+        state, parts = both.state_at(s), [one.state_at(s) for one in ones]
+        for name in ("x", "theta", "labels"):
+            assert getattr(state, name).tobytes() == \
+                np.concatenate([getattr(part, name) for part in parts]).tobytes()
+        # the event counts of the two replicas add up, within the run too
+        assert astuple(state.counters) == tuple(
+            map(sum, zip(*(astuple(part.counters) for part in parts))))
+    assert np.array_equal(both.counts, ones[0].counts + ones[1].counts)
+
+
+def test_run_ensemble_names_a_missing_seed():
+    orc = constant_oracle(SIDE, 0.3, 1.0)
+    with pytest.raises(TypeError, match="at least one seed"):
+        run_ensemble(10, uniform_sir(SIDE, 1.0, 0.0, 0.0), orc, make_params(), 1.0, [1.0])
+
+
+def test_ensemble_counts_run_one_ensemble_per_chunk(monkeypatch):
+    # a tracer that wraps run_ensemble times each pass over a chunk
+    n, reps = 5, 8
+    monkeypatch.setattr(meanfield, "CHUNK_AGENTS", 3 * n)
+    passes = []
+    run_one = meanfield.run_ensemble
+
+    def recorded(*args):
+        passes.append(args[6:])
+        return run_one(*args)
+    monkeypatch.setattr(meanfield, "run_ensemble", recorded)
+    seeds = [SeedSpec(22).child(r) for r in range(reps)]
+    counts = ensemble_counts(n, WEIGHTED, _varied_oracle(), make_params(n=n), 1.5,
+                             [0.0, 1.5], seeds)
+    assert counts.shape == (reps, 2, 3)
+    assert passes == [tuple(seeds[0:3]), tuple(seeds[3:6]), tuple(seeds[6:8])]
 
 
 def test_ensemble_counts_check_their_inputs():
