@@ -15,8 +15,8 @@ from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, ensemble_
                         run_ensemble)
 from .coupling import (CoupledEnsemble, CoupledTrajectory, b_attempt, mismatch_bound,
                        mismatch_fraction, run_coupled)
-from .observables import (EmpiricalMarginal, GridMismatchError, empirical_marginal,
-                          ensemble_aggregate, l1_distance, pair_factorization_gap)
+from .observables import (EmpiricalMarginal, empirical_marginal, ensemble_aggregate,
+                          l1_distance, pair_factorization_gap)
 from . import oracles
 
 __version__ = "0.1.0"

@@ -174,7 +174,10 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                 fail(f"model.{keymap.get(name, name)}", part)
 
     grid = None
-    needs_grid = kind in ("kinetic", "meanfield", "couple", "study")
+    solves = kind in ("kinetic", "meanfield", "couple", "study")
+    cell_counts = get("run", "cell_counts", _parse_bool, default=False)
+    # particle bins its cell counts on [grid] m
+    needs_grid = solves or (kind == "particle" and bool(cell_counts))
     if cp.has_section("grid") or needs_grid:
         gm = get("grid", "m", int, required=needs_grid)
         gk = get("grid", "k", int, required=needs_grid)
@@ -216,7 +219,7 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
             except InitialConditionError as exc:
                 fail("initial", str(exc))
     # the solver projects the initial grid onto its own, which must refine it
-    if needs_grid and grid is not None and initial is not None and grid.m % initial.m0:
+    if solves and grid is not None and initial is not None and grid.m % initial.m0:
         fail("grid.m", f"must be a multiple of the initial grid's m0 = {initial.m0}, "
              f"got {grid.m}")
 
@@ -228,7 +231,6 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
                    required=(kind == "study"))
     snapshot_times = get("run", "snapshot_times", _parse_floats, default=None)
     interaction = get("run", "interaction", str, default="per_agent")
-    cell_counts = get("run", "cell_counts", _parse_bool, default=False)
     threads = get("run", "threads", int, default=1)
 
     if t_max is not None and t_max < 0:
@@ -323,8 +325,7 @@ def _rows(*columns):
 def _particle_chunk(cfg: RunConfig, rids):
     """The counts of the replicas ``rids``, shape (len(rids), times, 3), and
     with ``cell_counts`` their label counts per cell, (len(rids), times, 3,
-    m, m); one ``run`` per replica."""
-    m = cfg.grid.m if cfg.grid is not None else 8
+    m, m) on ``[grid] m``; one ``run`` per replica."""
     counts, cells = [], []
     for rid in rids:
         seed = SeedSpec(cfg.seed).child(rid)
@@ -333,7 +334,7 @@ def _particle_chunk(cfg: RunConfig, rids):
                    interaction=cfg.interaction)
         counts.append(traj.counts)
         if cfg.cell_counts:
-            cells.append([empirical_marginal(traj.state_at(t), m, 1, cfg.model.side)
+            cells.append([empirical_marginal(traj.state_at(t), cfg.grid.m, 1, cfg.model.side)
                           .counts.sum(axis=3) for t in traj.times])
     return np.array(counts), np.array(cells)
 
@@ -516,7 +517,8 @@ def _run_study(cfg: RunConfig):
         slope_rows.append((t, float(slope), float(se),
                            float(slope - 1.96 * se), float(slope + 1.96 * se)))
     outputs["slope.csv"] = (["time", "slope", "stderr", "ci95_lo", "ci95_hi"], slope_rows)
-    if slope_rows:
+    # the plot reads summary.csv, which needs two replicas
+    if slope_rows and "summary.csv" in outputs:
         outputs["plot.gp"] = _GNUPLOT_TEMPLATE.format(time=slope_rows[-1][0])
     return outputs, {**extra, "slope_skipped_times": skipped}
 

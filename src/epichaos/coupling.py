@@ -70,8 +70,13 @@ def mismatch_fraction(a, b) -> float:
 
 def mismatch_bound(t: float, infection_rate: float, n: int) -> float:
     """A priori bound (t * rate / n) * exp(2 * rate * t) on the expected
-    mismatch fraction at time t for large n."""
-    return t * infection_rate / n * math.exp(2.0 * infection_rate * t)
+    mismatch fraction at time t for large n; inf where the exponential
+    overflows a float."""
+    try:
+        growth = math.exp(2.0 * infection_rate * t)
+    except OverflowError:
+        growth = math.inf
+    return t * infection_rate / n * growth
 
 
 @dataclass

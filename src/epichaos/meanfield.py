@@ -173,8 +173,7 @@ def run_ensemble(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mode
     # agent is its first
     agents, first = np.unique(pa[k], return_index=True)
     lab.infect(agents, pt[k[first]])
-    # the Trajectory counts proposals by a search over all replicas' times
-    return Trajectory(st.copy(), path, lab, np.sort(pt), t_max)
+    return Trajectory(st.copy(), path, lab, pt, t_max)
 
 
 def ensemble_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,

@@ -4,54 +4,28 @@ factorization gap, and replica aggregation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import TWO_PI, remainder
-from .kinetic import KineticField
-
-
-class GridMismatchError(ValueError):
-    pass
+from .kinetic import GridError, KineticField
+from .particle import EnsembleState
 
 
 @dataclass
-class EmpiricalMarginal:
-    """Histogram of (cell, heading, label) occupation for one ensemble.
+class EmpiricalMarginal(KineticField):
+    """The empirical density of one ensemble, a ``KineticField`` on the
+    (m, m, k) grid: ``counts`` is its (3, m, m, k) occupation histogram of
+    ``n`` agents and ``values`` are counts / (n * cell_measure)."""
 
-    Counts have shape (3, m, m, k) in the same layout as a solver field;
-    ``density`` divides by n and the cell measure so the two are directly
-    comparable.
-    """
-
-    counts: np.ndarray
-    n: int
-    side: float
-    t: float
-
-    @property
-    def m(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[3]
-
-    @property
-    def cell_measure(self) -> float:
-        h = self.side / self.m
-        return h * h * TWO_PI / self.k
-
-    def density(self) -> np.ndarray:
-        return self.counts / (self.n * self.cell_measure)
-
-    def mass(self) -> float:
-        return float(self.counts.sum() / self.n)
+    counts: np.ndarray = field(kw_only=True)
+    n: int = field(kw_only=True)
 
 
 def empirical_marginal(state, m: int, k: int, side: float) -> EmpiricalMarginal:
-    """Bin an ensemble state into an (m, m, k) x label histogram.
+    """Bin an ensemble state into an (m, m, k) x label histogram and its
+    density.
 
     Cells are half-open boxes [left, right) in every coordinate, so the
     binning is deterministic on boundary points.
@@ -68,29 +42,21 @@ def empirical_marginal(state, m: int, k: int, side: float) -> EmpiricalMarginal:
     iv = np.minimum((theta / (TWO_PI / k)).astype(np.int64), k - 1)
     code = ((labels.astype(np.int64) * m + ix) * m + iy) * k + iv
     counts = np.bincount(code, minlength=3 * m * m * k).reshape(3, m, m, k)
-    return EmpiricalMarginal(counts, n, side, state.t)
+    return EmpiricalMarginal(counts / (n * (h * h * TWO_PI / k)), side, state.t,
+                             counts=counts, n=n)
 
 
-def _density_and_measure(obj):
-    if isinstance(obj, KineticField):
-        return obj.values, obj.cell_measure, obj.side
-    if isinstance(obj, EmpiricalMarginal):
-        return obj.density(), obj.cell_measure, obj.side
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a density on a grid")
-
-
-def l1_distance(m1, m2) -> float:
-    """L1 distance between two gridded densities (fields or marginals).
+def l1_distance(f1: KineticField, f2: KineticField) -> float:
+    """L1 distance between two densities on one grid (solver fields or
+    empirical marginals).
 
     Zero iff identical, symmetric, and equal to 2 for disjointly
     supported probability densities.
     """
-    d1, w1, s1 = _density_and_measure(m1)
-    d2, w2, s2 = _density_and_measure(m2)
-    if d1.shape != d2.shape or s1 != s2:
-        raise GridMismatchError(
-            f"grid mismatch: {d1.shape} on side {s1} vs {d2.shape} on side {s2}")
-    return float(np.abs(d1 - d2).sum() * w1)
+    if f1.values.shape != f2.values.shape or f1.side != f2.side:
+        raise GridError(f"grid mismatch: {f1.values.shape} on side {f1.side} "
+                        f"vs {f2.values.shape} on side {f2.side}")
+    return float(np.abs(f1.values - f2.values).sum() * f1.cell_measure)
 
 
 def pair_factorization_gap(samples, side: float, cells: int = 4) -> float:
@@ -107,16 +73,12 @@ def pair_factorization_gap(samples, side: float, cells: int = 4) -> float:
     n_pairs = 0.0
     n_single = 0.0
     for x, labels in samples:
-        x = np.asarray(x, dtype=float)
-        labels = np.asarray(labels)
-        n = labels.shape[0]
+        state = EnsembleState(x, np.zeros(len(labels)), labels)
+        n = state.n
         if n < 2:
             raise ValueError("need at least two agents per replica")
-        h = side / cells
-        ix = np.minimum((x[:, 0] / h).astype(np.int64), cells - 1)
-        iy = np.minimum((x[:, 1] / h).astype(np.int64), cells - 1)
-        code = (labels.astype(np.int64) * cells + ix) * cells + iy
-        c = np.bincount(code, minlength=nbins).astype(float)
+        # one heading bin: the (label, ix, iy) histogram, flattened
+        c = empirical_marginal(state, cells, 1, side).counts.ravel().astype(float)
         singles += c
         pairs += np.outer(c, c) - np.diag(c)
         n_single += n

@@ -88,8 +88,9 @@ def label_counts(labels: LabelTimes, times) -> np.ndarray:
 @dataclass
 class Trajectory:
     """The solution of one run on [t0, t_max]: its ``Path``, its labels as
-    ``LabelTimes`` and its proposal times, with the (S, I, R) counts at the
-    sample ``times``.  Any other state is a ``state_at`` query."""
+    ``LabelTimes`` and its proposal times (in time order within each
+    replica), with the (S, I, R) counts at the sample ``times``.  Any other
+    state is a ``state_at`` query."""
 
     times: np.ndarray
     path: Path
@@ -108,9 +109,10 @@ class Trajectory:
         path, lab = self.path, self.labels
         if not path.t0 <= s <= self.t_max:
             raise ValueError(f"time {s} outside the run's span [{path.t0}, {self.t_max}]")
+        proposals = int(np.count_nonzero(self.prop_t < s))
         return EnsembleState(*path.state_at(s), lab.at(s), s,
                              Counters(path.jumps_before(s), lab.recovered_before(s),
-                                      int(self.prop_t.searchsorted(s)), lab.infected_before(s)))
+                                      proposals, lab.infected_before(s)))
 
     @cached_property
     def final(self) -> EnsembleState:

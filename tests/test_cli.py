@@ -231,6 +231,32 @@ def test_cell_counts_accepts_only_booleans(tmp_path, capsys, value, parsed):
     assert "run.cell_counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid,missing", [("", "grid.m"), ("[grid]\nm = 4\n", "grid.k")])
+def test_cell_counts_need_the_grid(tmp_path, capsys, grid, missing):
+    text = MINIMAL.replace("[run]", grid + "[run]") + "cell_counts = true\n"
+    with pytest.raises(ConfigError, match=f"{missing}: missing required key"):
+        parse_config(text, "particle")
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{missing}: missing required key" in capsys.readouterr().err
+    assert not out.exists()
+    # without cell counts the grid is not read
+    parse_config(MINIMAL, "particle")
+
+
+def test_cell_counts_bin_on_the_grid(tmp_path):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("m = 8", "m = 4") + "cell_counts = true\n")
+    out = tmp_path / "o"
+    assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "cells.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 3 * 4 * 4
+    assert {(row[2], row[3]) for row in rows} == {(str(i), str(j)) for i in range(4)
+                                                   for j in range(4)}
+
+
 def test_couple_experiment_emits_expected_files(tmp_path):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(FULL)
@@ -248,6 +274,20 @@ def test_couple_experiment_emits_expected_files(tmp_path):
     first = (out / "observations.csv").read_bytes()
     again = (tmp_path / "o2" / "observations.csv").read_bytes()
     assert first == again
+
+
+def test_couple_writes_an_inf_bound_at_a_large_rate_times_time(tmp_path):
+    # 2 * lambda * t = 800: exp overflows a float, so the bound is inf
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("n = 60", "n = 20").replace("lambda = 1.0", "lambda = 400.0")
+                        .replace("t = 0.5\nsample_times = 0.0 0.25 0.5", "t = 1.0")
+                        .replace("replicas = 3", "replicas = 2"))
+    out = tmp_path / "o"
+    assert main(["couple", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    assert rows[0][-1] == "bound"
+    assert [row[1] for row in rows[1:]] == ["0.0", "1.0"]
+    assert rows[1][-1] == "0.0" and rows[2][-1] == "inf"
 
 
 def test_kinetic_experiment_writes_snapshots(tmp_path):
@@ -304,6 +344,20 @@ def test_study_experiment_fits_slope(tmp_path):
     assert lines[0] == "time,slope,stderr,ci95_lo,ci95_hi"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.5"]
     assert (tmp_path / "o" / "plot.gp").exists()
+
+
+def test_study_of_one_replica_writes_no_plot(tmp_path):
+    # plot.gp plots summary.csv, which one replica does not make
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("replicas = 3", "replicas = 1")
+                        .replace("lambda = 1.0", "lambda = 5.0").replace("r0 = 0.1", "r0 = 0.4")
+                        + "n_values = 20 40\n")
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len((out / "slope.csv").read_text().splitlines()) > 1
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == ["observations.csv", "slope.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", *files]
 
 
 def test_study_names_the_sample_times_it_cannot_fit(tmp_path, capsys):

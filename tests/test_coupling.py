@@ -193,6 +193,12 @@ def test_mismatch_bound_value():
     assert mismatch_bound(1.0, 1.0, 1000) == pytest.approx(math.exp(2.0) / 1000)
 
 
+def test_mismatch_bound_is_inf_where_the_exponential_overflows():
+    # exp(2 * 400 * 1) is beyond the largest float
+    assert mismatch_bound(1.0, 400.0, 20) == math.inf
+    assert math.isfinite(mismatch_bound(0.5, 400.0, 20))
+
+
 def test_run_coupled_no_infection_channel_keeps_labels_equal():
     params = make_params(50, lam=0.0, gamma=1.0)
     orc = constant_oracle(SIDE, 0.0, 2.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epichaos import (CoupledEnsemble, EnsembleState, GridMismatchError, GridSpec,
+from epichaos import (CoupledEnsemble, EnsembleState, GridError, GridSpec,
                       KineticField, Label, ModelParams, SeedSpec, constant_oracle,
                       empirical_marginal, ensemble_aggregate, field_from_initial,
                       l1_distance, mismatch_fraction, pair_factorization_gap,
@@ -54,8 +54,28 @@ def test_marginal_heading_bins_keep_np_mod_bits(copies):
 def test_marginal_density_sums_to_one():
     state = sample_initial(uniform_sir(SIDE, 0.5, 0.3, 0.2), 5000, SeedSpec(2).rng())
     marg = empirical_marginal(state, 8, 4, SIDE)
-    total = marg.density().sum() * marg.cell_measure
+    total = marg.values.sum() * marg.cell_measure
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_marginal_is_the_kinetic_field_of_its_counts():
+    state = sample_initial(uniform_sir(SIDE, 0.6, 0.3, 0.1), 3000, SeedSpec(14).rng())
+    marg = empirical_marginal(state, 8, 4, SIDE)
+    assert isinstance(marg, KineticField)
+    assert (marg.m, marg.k, marg.side, marg.n) == (8, 4, SIDE, 3000)
+    assert marg.counts.dtype == np.int64 and marg.counts.shape == (3, 8, 8, 4)
+    assert np.array_equal(marg.values, marg.counts / (marg.n * marg.cell_measure))
+    assert marg.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_coarsened_marginal_is_the_marginal_on_the_coarse_grid():
+    # averaging the density over 2 x 2 x 2 fine bins is binning on the
+    # coarse grid, up to rounding
+    state = sample_initial(uniform_sir(SIDE, 0.6, 0.3, 0.1), 3000, SeedSpec(15).rng())
+    coarse = empirical_marginal(state, 8, 4, SIDE).coarsen(4, 2)
+    assert l1_distance(coarse, coarse) == 0.0
+    assert l1_distance(empirical_marginal(state, 4, 2, SIDE), coarse) \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_l1_distance_basic_properties():
@@ -79,7 +99,7 @@ def test_l1_distance_rejects_grid_mismatch():
     state = sample_initial(uniform_sir(SIDE, 1.0, 0.0, 0.0), 100, SeedSpec(4).rng())
     m1 = empirical_marginal(state, 4, 4, SIDE)
     m2 = empirical_marginal(state, 8, 4, SIDE)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GridError):
         l1_distance(m1, m2)
 
 
@@ -167,6 +187,28 @@ def test_pair_gap_shrinks_with_population():
             batches.append((traj.final.x, traj.final.labels))
         gaps.append(pair_factorization_gap(batches, SIDE))
     assert gaps[1] < gaps[0]
+
+
+def test_pair_gap_keeps_its_pinned_values():
+    # points on cell edges, at side - ulp and in all three labels; the
+    # values are those of the hand-built (label, ix, iy) binning it had
+    # before it binned with empirical_marginal
+    top = np.nextafter(1.0, 0.0)
+    edges = np.array([0.0, 0.25, 0.5, 0.75, top, np.nextafter(0.25, 0.0),
+                      np.nextafter(0.5, 1.0)])
+    x1 = np.array([[a, b] for a in edges for b in edges[::-1]])
+    l1 = (np.arange(x1.shape[0]) % 3).astype(np.int8)
+    rng = np.random.default_rng(2024)
+    x2 = rng.random((30, 2))
+    l2 = rng.integers(0, 3, 30)
+    x3 = np.array([[top, top], [0.0, 0.0], [0.25, top], [top, 0.75]])
+    l3 = np.array([2, 2, 1, 0])
+    batches = [(x1, l1), (x2, l2), (x3, l3)]
+    for cells, side, pinned in ((4, 1.0, "0x1.69b45e2f07ddbp-2"),
+                                (3, 1.0, "0x1.83940d7f10252p-3"),
+                                (4, 2.0, "0x1.69b45e2f07ddbp-2")):
+        gap = pair_factorization_gap([(x * side, lab) for x, lab in batches], side, cells)
+        assert gap.hex() == pinned
 
 
 def test_pair_gap_needs_two_agents():
