@@ -242,8 +242,6 @@ def test_cell_counts_need_the_grid(tmp_path, capsys, grid, missing):
     assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"{missing}: missing required key" in capsys.readouterr().err
     assert not out.exists()
-    # without cell counts the grid is not read
-    parse_config(MINIMAL, "particle")
 
 
 def test_cell_counts_bin_on_the_grid(tmp_path):

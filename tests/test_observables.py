@@ -191,8 +191,7 @@ def test_pair_gap_shrinks_with_population():
 
 def test_pair_gap_keeps_its_pinned_values():
     # points on cell edges, at side - ulp and in all three labels; the
-    # values are those of the hand-built (label, ix, iy) binning it had
-    # before it binned with empirical_marginal
+    # pins were made with a (label, ix, iy) binning written out by hand
     top = np.nextafter(1.0, 0.0)
     edges = np.array([0.0, 0.25, 0.5, 0.75, top, np.nextafter(0.25, 0.0),
                       np.nextafter(0.5, 1.0)])
