@@ -273,11 +273,14 @@ def parse_config(text: str, kind: str = "particle", base_dir=None,
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """The header and rows as CSV lines.  ``str`` of a Python float is its
-    shortest round-trip ``repr``.  The lines go through the file's buffer
-    one by one, so a large table is never held as one text."""
+    """The header and rows as CSV lines, each field formatted by ``%s``,
+    which is ``str``: that of a Python float is its shortest round-trip
+    ``repr``.  A row whose length differs from the header's raises
+    TypeError.  The lines go through the file's buffer one by one, so a
+    large table is never held as one text."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        fh.writelines(line % tuple(row) for row in [header, *rows])
 
 
 def _config_fingerprint(cfg: RunConfig) -> dict:

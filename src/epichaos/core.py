@@ -252,7 +252,9 @@ class Path:
     each agent's ticks.  A lookup counts forward from the agent's head, one
     pass per later segment or tick, so its cost grows with the jump count of
     the busiest agent queried, not with log of the total.  Lookups take
-    arrays of agents and times, or scalars.
+    arrays of agents and times, or scalars.  ``state_at``, which asks for
+    every agent at one time, takes instead the one segment of each agent
+    with start <= s < t_next in a single mask over all segments.
     """
 
     def __init__(self, x, theta, t0: float, side: float, draws: BlockDraws):
@@ -301,10 +303,10 @@ class Path:
 
     def state_at(self, s: float):
         """Positions and headings of all agents at time s; ValueError before
-        t0, where no agent has a segment yet."""
-        if not s >= self.t0:
-            raise ValueError(f"time {s} before the path's start {self.t0}")
-        seg = self.head + np.add.reduceat(self.start <= s, self.head) - 1
+        t0, where no agent has a segment yet, and at a time not finite."""
+        if not self.t0 <= s < math.inf:
+            raise ValueError(f"time {s} not in the path's [{self.t0}, inf)")
+        seg = np.flatnonzero((self.start <= s) & (self.t_next > s))
         return self._advance(seg, s), self.theta[seg]
 
     def jumps_before(self, s: float) -> int:
@@ -332,7 +334,10 @@ def _layout(agent, n: int):
     order that sorts the events by agent, and each sorted event's slot, the
     k-th event of agent a at first[a] + k.  Events of one agent must come in
     time order."""
-    by_agent = np.argsort(agent, kind="stable")
+    # the keys are distinct and rank by (agent, index), so numpy's default
+    # sort gives the stable order of the agents, faster than a stable sort
+    agent = agent.astype(np.int64, copy=False)
+    by_agent = np.argsort(agent * agent.size + np.arange(agent.size))
     count = np.bincount(agent, minlength=n) + 1
     return count, np.cumsum(count) - count, by_agent, np.arange(agent.size) + agent[by_agent]
 

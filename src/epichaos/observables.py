@@ -28,9 +28,13 @@ def empirical_marginal(state, m: int, k: int, side: float) -> EmpiricalMarginal:
     density.
 
     Cells are half-open boxes [left, right) in every coordinate, so the
-    binning is deterministic on boundary points.
+    binning is deterministic on boundary points.  Positions must lie in
+    [0, side), or ValueError: a position outside (or NaN) has no cell.
     """
     x = state.x
+    # written so that NaN fails the test too
+    if not (x.min() >= 0 and x.max() < side):
+        raise ValueError(f"positions outside [0, {side}): from {x.min()} to {x.max()}")
     # np.mod's bits without wrap's fold: a heading that rounds up to 2 pi
     # bins to k - 1
     theta = remainder(state.theta, TWO_PI)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import epichaos
 from epichaos import (ConfigError, DiscKernel, SeedSpec, field_from_initial, load_field,
                       run_ensemble, solve)
 from epichaos import meanfield
-from epichaos.cli import _solve_oracle, fit_loglog_slope, main, parse_config
+from epichaos.cli import _rows, _solve_oracle, _write_csv, fit_loglog_slope, main, parse_config
 
 MINIMAL = """
 [model]
@@ -253,6 +254,39 @@ def test_cell_counts_bin_on_the_grid(tmp_path):
     assert len(rows) == 3 * 3 * 4 * 4
     assert {(row[2], row[3]) for row in rows} == {(str(i), str(j)) for i in range(4)
                                                    for j in range(4)}
+
+
+#: A large one-replica ``particle`` run with cell counts at five times.
+LARGE_CELLS = (FULL.replace("n = 60", "n = 20000").replace("replicas = 3", "replicas = 1")
+               .replace("t = 0.5\nsample_times = 0.0 0.25 0.5",
+                        "t = 1.0\nsample_times = 0.0 0.25 0.5 0.75 1.0")
+               + "cell_counts = true\n")
+
+
+def test_large_particle_run_keeps_its_pinned_bytes(tmp_path):
+    # the sha256 of each output pins the path build, every state_at lookup
+    # and the CSV writer at once
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(LARGE_CELLS)
+    out = tmp_path / "o"
+    assert main(["particle", "--config", str(cfg_path), "--out", str(out)]) == 0
+    pinned = {"cells.csv": "12ac55e29c78634ce8510add092d883dd14d2304502dd313cdd819804446645b",
+              "observations.csv":
+                  "d4f518dce44a453466ddd3b50198c0da3dca2abcf94934f616eb6669bbc5b95c"}
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_write_csv_writes_str_of_every_field(tmp_path):
+    header = ["i", "x", "name"]
+    rows = [(1, 0.1, "a"), (-2, 1e-05, "b c"), (10**20, 1e16, ""), (0, -0.0, "d"),
+            [3, math.inf, "e"], (True, math.nan, "f"), *_rows([4, 5], [2.5, 1 / 3], ["g", "h"])]
+    _write_csv(tmp_path / "t.csv", header, rows)
+    want = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    assert (tmp_path / "t.csv").read_text() == want
+    for ragged in ([(1, 2)], [(1, 2, 3, 4)]):
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "r.csv", header, ragged)
 
 
 def test_couple_experiment_emits_expected_files(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from epichaos import EnsembleState, ModelParams, SeedSpec, in_range, run, wrap
-from epichaos.core import (REMAINDER_MIN_SIZE, WINDOW, BlockDraws, Path, TWO_PI, label_free_pass,
-                           remainder, torus_distance)
+from epichaos.core import (REMAINDER_MIN_SIZE, WINDOW, BlockDraws, Path, TWO_PI, _layout,
+                           label_free_pass, remainder, torus_distance)
 
 SIDE = 1.0
 
@@ -313,10 +313,42 @@ def test_state_before_the_path_starts_is_refused():
     path = Path(np.full((n, 2), 0.5), np.arange(n) * 0.5, t0, SIDE, draws)
     with pytest.raises(ValueError):
         path.state_at(0.5)
-    with pytest.raises(ValueError):
-        path.state_at(np.nan)
+    # and at a time not finite: at +inf no segment starts by s and ends after
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            path.state_at(s)
     x, theta = path.state_at(t0)
     assert np.array_equal(x, np.full((n, 2), 0.5)) and np.array_equal(theta, np.arange(n) * 0.5)
+
+
+def stable_layout(agent, n):
+    """``_layout`` with numpy's stable sort of the agent ids, the reference."""
+    by_agent = np.argsort(agent, kind="stable")
+    count = np.bincount(agent, minlength=n) + 1
+    return count, np.cumsum(count) - count, by_agent, np.arange(agent.size) + agent[by_agent]
+
+
+def layout_cases():
+    rng = np.random.default_rng(25)
+    params = draw_params(4)
+    stacked = BlockDraws.stack([BlockDraws(SeedSpec(25, (r,)).rng(), 4, params, 0.0, 3.0)
+                                for r in range(5)], 4)
+    return {
+        "empty": (np.zeros(0, np.int64), 3),
+        "one agent": (np.full(5000, 2), 4),
+        "random": (rng.integers(0, 1000, 10**5), 1000),
+        "stacked": (stacked.jump_agent, 20),
+        # agent * size overflows int32 here
+        "int32": (rng.integers(0, 50_000, 10**5).astype(np.int32), 50_000),
+    }
+
+
+@pytest.mark.parametrize("case", ["empty", "one agent", "random", "stacked", "int32"])
+def test_layout_orders_events_as_a_stable_sort(case):
+    agent, n = layout_cases()[case]
+    got, want = _layout(agent, n), stable_layout(agent, n)
+    for name, g, w in zip(("count", "head", "by_agent", "slot"), got, want):
+        assert np.array_equal(g, w), name
 
 
 class BruteLookups:

@@ -210,6 +210,18 @@ def test_pair_gap_keeps_its_pinned_values():
         assert gap.hex() == pinned
 
 
+@pytest.mark.parametrize("point", [(-0.5, 0.1), (1.7, 0.1), (math.nan, 0.1)])
+def test_positions_outside_the_square_are_refused(point):
+    # an I agent at x < 0 binned as an S agent, at x >= side clamped into
+    # the last cell, at NaN binned after a cast warning
+    x = np.array([point, (0.3, 0.3)])
+    labels = np.array([Label.I, Label.S], dtype=np.int8)
+    with pytest.raises(ValueError):
+        empirical_marginal(EnsembleState(x, np.zeros(2), labels), 4, 1, SIDE)
+    with pytest.raises(ValueError):
+        pair_factorization_gap([(x, labels)], SIDE, 4)
+
+
 def test_pair_gap_needs_two_agents():
     with pytest.raises(ValueError):
         pair_factorization_gap([(np.zeros((1, 2)), np.zeros(1, dtype=np.int8))], SIDE)
