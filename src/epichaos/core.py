@@ -334,12 +334,14 @@ def _layout(agent, n: int):
     order that sorts the events by agent, and each sorted event's slot, the
     k-th event of agent a at first[a] + k.  Events of one agent must come in
     time order."""
-    # the keys are distinct and rank by (agent, index), so numpy's default
-    # sort gives the stable order of the agents, faster than a stable sort
-    agent = agent.astype(np.int64, copy=False)
-    by_agent = np.argsort(agent * agent.size + np.arange(agent.size))
+    # the keys agent * size + index are distinct and sort as (agent, index),
+    # so their sorted quotients and remainders are the agents and the order
+    # of a stable sort by agent; sorting values is faster than an argsort
+    size = agent.size
+    keys = np.sort(agent.astype(np.int64, copy=False) * size + np.arange(size))
+    sorted_agent, by_agent = np.divmod(keys, size)
     count = np.bincount(agent, minlength=n) + 1
-    return count, np.cumsum(count) - count, by_agent, np.arange(agent.size) + agent[by_agent]
+    return count, np.cumsum(count) - count, by_agent, np.arange(size) + sorted_agent
 
 
 def _count_forward(ahead, i, t):

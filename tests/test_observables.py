@@ -212,8 +212,7 @@ def test_pair_gap_keeps_its_pinned_values():
 
 @pytest.mark.parametrize("point", [(-0.5, 0.1), (1.7, 0.1), (math.nan, 0.1)])
 def test_positions_outside_the_square_are_refused(point):
-    # an I agent at x < 0 binned as an S agent, at x >= side clamped into
-    # the last cell, at NaN binned after a cast warning
+    # below 0, from side on, and NaN: no cell holds such a point
     x = np.array([point, (0.3, 0.3)])
     labels = np.array([Label.I, Label.S], dtype=np.int8)
     with pytest.raises(ValueError):
