@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass
+from .core import Label, LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass
 from .meanfield import FieldOracle
 from .particle import (EnsembleState, Trajectory, check_sample_times, label_counts,
                        resolve_infections)
@@ -136,11 +136,13 @@ def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle
     Flight, recovery clocks and proposals are the label-free pass of the
     per-agent form, and ``resolve_infections`` gives the a-labels of ``run``
     on the same seed.  The labels never read each other, so this loop decides
-    only b.  It visits, in time order, only the proposals whose partner is
-    in range or whose u is below ``oracle.probe_cap``: no other proposal can
-    flip a b label.  The b-attempt looks up q only where the partner check
-    and u do not settle it against the largest record value, and counts p
-    over the b-infected agents only where q does not settle it either.
+    only b.  It visits, in time order, only the proposals to initially
+    susceptible agents whose partner is in range or whose u is below
+    ``oracle.probe_cap``: no other proposal can flip a b label.  Their
+    intensities q come from one ``nf_at`` lookup before the loop.  The
+    b-attempt reads q only where the partner check and u do not settle it
+    against the largest record value, and counts p over the b-infected
+    agents only where q does not settle it either.
     """
     st = check_sample_times(sample_times, t_max)
     oracle.check_span(0.0, t_max)
@@ -151,24 +153,22 @@ def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle
     near = path.near(pa, pp, pt, params.radius)
     resolve_infections(a, pt[near], pa[near], pp[near])
     q_cap = oracle.probe_cap
-    visit = np.flatnonzero(near | (pu < q_cap))
+    visit = np.flatnonzero((near | (pu < q_cap)) & (initial.labels[pa] == Label.S))
     xi = path.positions(pa[visit], pt[visit])
-    probe = oracle.scalar_probe()
+    qs = oracle.nf_at(xi, pt[visit])
     n_probe = n_scan = partner_fires = residual_fires = thinned = 0
 
-    for t, i, j, u, close, x, y in zip(pt[visit].tolist(), pa[visit].tolist(),
-                                      pp[visit].tolist(), pu[visit].tolist(),
-                                      near[visit].tolist(), xi[:, 0].tolist(),
-                                      xi[:, 1].tolist()):
+    for t, i, j, u, close, x, y, q in zip(pt[visit].tolist(), pa[visit].tolist(),
+                                         pp[visit].tolist(), pu[visit].tolist(),
+                                         near[visit].tolist(), xi[:, 0].tolist(),
+                                         xi[:, 1].tolist(), qs.tolist()):
         if b.inf[i] < t:
             continue
-        # without the partner check, u >= q_cap settles the b-attempt before
-        # q is looked up; b_shortcut settles most of the rest before p is
-        # counted
+        # without the partner check, u >= q_cap settles the b-attempt without
+        # q; b_shortcut settles most of the rest before p is counted
         pb = close and b.inf[j] < t <= b.rec[j]
         if not pb and u >= q_cap:
             continue
-        q = probe(x, y, t)
         n_probe += 1
         fire = b_shortcut(pb, u, q)
         if fire is None:

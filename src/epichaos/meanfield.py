@@ -10,9 +10,7 @@ never read each other's state; an ensemble is just n independent copies
 sharing one clock.
 """
 
-import bisect
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,11 +32,14 @@ class FieldOracle:
     ``times`` strictly increasing, ``grids`` of shape (len(times), m, m)
     holding the intensity on cell centers.  Lookups are bilinear in space,
     linear in time between bracketing records, and clamped to [0, 1].
+    ``probe_cap`` bounds every lookup: the largest record, with room for the
+    rounding of the interpolation weights.
     """
 
     times: np.ndarray
     grids: np.ndarray
     side: float
+    probe_cap: float = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -53,6 +54,7 @@ class FieldOracle:
         if self.grids.min() < -1e-9 or self.grids.max() > 1.0 + 1e-9:
             raise ValueError("intensity records must lie in [0, 1]")
         np.clip(self.grids, 0.0, 1.0, out=self.grids)
+        self.probe_cap = float(self.grids.max()) * (1.0 + 1e-9)
 
     @classmethod
     def from_trajectory(cls, traj: FieldTrajectory) -> "FieldOracle":
@@ -62,77 +64,59 @@ class FieldOracle:
     def span(self):
         return float(self.times[0]), float(self.times[-1])
 
-    @property
-    def probe_cap(self) -> float:
-        """A bound on every ``scalar_probe`` value: the largest record,
-        with room for the rounding of the interpolation weights."""
-        return float(self.grids.max()) * (1.0 + 1e-9)
-
     def check_span(self, t_lo: float, t_hi: float) -> None:
         """Raise OracleSpanError unless [t_lo, t_hi] lies in the recorded
         span, up to rounding slack of 1e-9."""
         lo, hi = self.span
-        if t_lo < lo - 1e-9 or t_hi > hi + 1e-9:
+        # written so that NaN fails the test too
+        if not (t_lo >= lo - 1e-9 and t_hi <= hi + 1e-9):
             raise OracleSpanError(
                 f"times [{t_lo}, {t_hi}] outside the oracle span [{lo}, {hi}]")
 
     def nf_at(self, x, t):
-        """Intensity at position(s) x and time(s) t, in [0, 1].
+        """Intensity at position(s) x and time(s) t, in [0, 1]: the oracle's
+        one interpolation rule.
 
         ``x`` has shape (..., 2); ``t`` is a scalar or matching batch.
-        Raises OracleSpanError outside the recorded span.  Each point is
-        one ``scalar_probe`` lookup.
+        Bilinear in space on the periodic lattice of cell centres, linear in
+        time between the bracketing records (the first record alone on a
+        one-record oracle), then clamped to [0, 1].  Each point's value
+        depends on that point alone, so a batch reads the bits of one lookup
+        per point.  Raises OracleSpanError for a time outside the recorded
+        span (NaN included) and ValueError for a position that is not
+        finite.
         """
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
         if t.size:
             self.check_span(t.min(), t.max())
-        probe = self.scalar_probe()
-        return np.array([probe(px, py, s) for (px, py), s
-                         in zip(x.reshape(-1, 2).tolist(), t.ravel().tolist())],
-                        dtype=float).reshape(t.shape)
+        if not np.isfinite(x).all():
+            raise ValueError("positions must be finite")
+        times, grids = self.times, self.grids
+        n_t, m = grids.shape[:2]
+        g = x.reshape(-1, 2) / (self.side / m) - 0.5
+        f = np.floor(g)
+        wx, wy = (g - f).T
+        ux, uy = 1 - wx, 1 - wy
+        # floor-mod of the float floor is exact, whatever its size
+        i0 = np.mod(f, m).astype(np.intp)
+        (ix0, iy0), (ix1, iy1) = i0.T, ((i0 + 1) % m).T
+        ts = t.ravel()
+        k0 = np.maximum(np.minimum(np.searchsorted(times, ts, "right") - 1, n_t - 2), 0)
+        # the records at k0 and k0 + 1 (k0 again on a one-record oracle)
+        k = np.minimum(k0 + [[0], [1]], n_t - 1)
+        w = (np.zeros(ts.shape) if n_t == 1 else np.minimum(np.maximum(
+            (ts - times[k[0]]) / (times[k[1]] - times[k[0]]), 0.0), 1.0))
+        v = (ux * uy * grids[k, ix0, iy0] + wx * uy * grids[k, ix1, iy0]
+             + ux * wy * grids[k, ix0, iy1] + wx * wy * grids[k, ix1, iy1])
+        v = np.where(w > 0.0, (1.0 - w) * v[0] + w * v[1], v[0])
+        return np.minimum(np.maximum(v, 0.0), 1.0).reshape(t.shape)
 
     def scalar_probe(self):
-        """Closure for scalar lookups: probe(x, y, t) -> float.
-
-        The one interpolation rule of the oracle; span checking is the
-        caller's job (``check_span``).
-        """
-        times = self.times
-        grids = self.grids
-        m = grids.shape[1]
-        h = self.side / m
-        n_t = times.size
-        t_list = times.tolist()
-
-        def probe(px: float, py: float, t: float) -> float:
-            if n_t == 1:
-                k0, w = 0, 0.0
-            else:
-                k0 = bisect.bisect_right(t_list, t) - 1
-                k0 = 0 if k0 < 0 else (n_t - 2 if k0 > n_t - 2 else k0)
-                w = (t - t_list[k0]) / (t_list[k0 + 1] - t_list[k0])
-                w = 0.0 if w < 0.0 else (1.0 if w > 1.0 else w)
-            gx = px / h - 0.5
-            gy = py / h - 0.5
-            fx = math.floor(gx)
-            fy = math.floor(gy)
-            wx = gx - fx
-            wy = gy - fy
-            ix0 = fx % m
-            iy0 = fy % m
-            ix1 = ix0 + 1 - m if ix0 + 1 >= m else ix0 + 1
-            iy1 = iy0 + 1 - m if iy0 + 1 >= m else iy0 + 1
-
-            def at(k):
-                g = grids[k]
-                return ((1 - wx) * (1 - wy) * g[ix0, iy0] + wx * (1 - wy) * g[ix1, iy0]
-                        + (1 - wx) * wy * g[ix0, iy1] + wx * wy * g[ix1, iy1])
-
-            v = (1.0 - w) * at(k0) + w * at(k0 + 1) if w > 0.0 else at(k0)
-            return 0.0 if v < 0.0 else (1.0 if v > 1.0 else float(v))
-
-        return probe
+        """probe(x, y, t) -> float, one ``nf_at`` lookup.  Nothing in the
+        package calls it: it stays because the benchmark's tracer
+        (``epibench/tracer.py``) patches it by name."""
+        return lambda x, y, t: float(self.nf_at((x, y), t))
 
 
 def constant_oracle(side: float, value: float, t_max: float, m: int = 4) -> FieldOracle:

@@ -35,15 +35,15 @@ def empirical_marginal(state, m: int, k: int, side: float) -> EmpiricalMarginal:
     # written so that NaN fails the test too
     if not (x.min() >= 0 and x.max() < side):
         raise ValueError(f"positions outside [0, {side}): from {x.min()} to {x.max()}")
-    # np.mod's bits without wrap's fold: a heading that rounds up to 2 pi
-    # bins to k - 1
-    theta = remainder(state.theta, TWO_PI)
     labels = state.labels
     n = labels.shape[0]
     h = side / m
     ix = np.minimum((x[:, 0] / h).astype(np.int64), m - 1)
     iy = np.minimum((x[:, 1] / h).astype(np.int64), m - 1)
-    iv = np.minimum((theta / (TWO_PI / k)).astype(np.int64), k - 1)
+    # np.mod's bits without wrap's fold: a heading that rounds up to 2 pi
+    # bins to k - 1, so with one heading bin every agent is in bin 0
+    iv = 0 if k == 1 else np.minimum(
+        (remainder(state.theta, TWO_PI) / (TWO_PI / k)).astype(np.int64), k - 1)
     code = ((labels.astype(np.int64) * m + ix) * m + iy) * k + iv
     counts = np.bincount(code, minlength=3 * m * m * k).reshape(3, m, m, k)
     return EmpiricalMarginal(counts / (n * (h * h * TWO_PI / k)), side, state.t,

@@ -1,14 +1,19 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epichaos
 from epichaos import (ConfigError, DiscKernel, SeedSpec, field_from_initial, load_field,
@@ -708,3 +713,52 @@ def test_non_finite_values_exit_2(tmp_path, section, key, template, value):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and f"{section}.{key}:" in proc.stderr
+
+
+#: A small valid config of every kind but validate, as section -> key -> value.
+FUZZ_BASE = {
+    "model": {"n": "12", "d": "1.0", "r0": "0.2", "lambda": "2.0", "gamma": "0.5"},
+    "grid": {"m": "8", "k": "4", "dt": "0.05"},
+    "initial": {"s": "0.8", "i": "0.2", "r": "0.0"},
+    "run": {"t": "0.2", "sample_times": "0.0 0.1 0.2", "replicas": "2", "seed": "3",
+            "threads": "1", "n_values": "12 24"},
+}
+
+#: Edits of one key each: zero and tiny rates and radii, times off the
+#: solver's steps, grids that do not refine the initial weights, seeds of
+#: 2^64 and above, and a few more edges.
+FUZZ_EDITS = [
+    ("model", "lambda", "0"), ("model", "lambda", "1e-300"), ("model", "gamma", "0"),
+    ("model", "gamma", "5e-324"), ("model", "r0", "0"), ("model", "r0", "1e-12"),
+    ("model", "r0", "0.7"), ("model", "n", "1"), ("model", "d", "0.3"),
+    ("grid", "m", "3"), ("grid", "k", "1"), ("grid", "dt", "0.07"), ("grid", "dt", "0.5"),
+    ("initial", "weights", "1 2 3; 4 5 6; 7 8 9"), ("initial", "weights", "0 0; 0 0"),
+    ("initial", "weights", "1 2; 3 4"), ("initial", "s", "0"), ("initial", "i", "1e-300"),
+    ("initial", "velocity", "delta 7.5"),
+    ("run", "t", "0"), ("run", "t", "1e-9"), ("run", "sample_times", "0.0 0.0333 0.2"),
+    ("run", "sample_times", "0.2 0.1"), ("run", "snapshot_times", "0.0123 0.2"),
+    ("run", "snapshot_times", "0.2 0.0"), ("run", "seed", str(2 ** 64)),
+    ("run", "seed", str(2 ** 64 + 12345)), ("run", "seed", str(2 ** 128)),
+    ("run", "replicas", "1"), ("run", "cell_counts", "true"), ("run", "n_values", "5 5"),
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["particle", "kinetic", "meanfield", "couple", "study"]),
+       edits=st.lists(st.sampled_from(FUZZ_EDITS), max_size=2))
+def test_fuzzed_configs_exit_0_or_refuse_cleanly(kind, edits):
+    cfg = {section: dict(keys) for section, keys in FUZZ_BASE.items()}
+    for section, key, value in edits:
+        cfg[section][key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in cfg.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "c.ini", Path(tmp) / "o"
+        cfg_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([kind, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert not out.exists()

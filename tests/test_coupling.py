@@ -502,17 +502,12 @@ def test_b_shortcut_agrees_with_b_attempt_on_random_draws():
 
 def test_probe_cap_bounds_the_probe(solved_oracle):
     rng = np.random.default_rng(12)
-    probe = solved_oracle.scalar_probe()
-    lo, hi = solved_oracle.span
     xs = rng.random((10_000, 2)) * SIDE
-    ts = lo + rng.random(10_000) * (hi - lo)
-    qs = [probe(x, y, t) for (x, y), t in zip(xs.tolist(), ts.tolist())]
-    assert max(qs) <= solved_oracle.probe_cap
     # records of one value everywhere: the weights' rounding is all that is left
-    flat = constant_oracle(SIDE, 0.3, 1.0)
-    probe = flat.scalar_probe()
-    assert max(probe(x, y, t) for (x, y), t in zip(xs.tolist(), ts.tolist())) \
-        <= flat.probe_cap
+    for orc in (solved_oracle, constant_oracle(SIDE, 0.3, 1.0)):
+        lo, hi = orc.span
+        ts = lo + rng.random(10_000) * (hi - lo)
+        assert orc.nf_at(xs, ts).max() <= orc.probe_cap
 
 
 def test_run_coupled_counts_each_b_channel(solved_oracle):

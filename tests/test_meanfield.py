@@ -88,12 +88,12 @@ def bilinear_reference(orc, x, y, t):
 
 
 @pytest.mark.parametrize("n_records", [5, 1])
-def test_scalar_probe_matches_bilinear_reference(n_records):
+def test_nf_at_matches_bilinear_reference(n_records):
     rng = np.random.default_rng(2)
     m = 8
     times = np.array([0.0, 0.3, 0.7, 1.1, 2.0])[:n_records]
     orc = FieldOracle(times, rng.random((n_records, m, m)), SIDE)
-    probe = orc.scalar_probe()
+    flat = FieldOracle(times, np.full((n_records, m, m), 0.3), SIDE)
     # random points, some off the unit square, at random times in the span
     pts = rng.random((500, 2)) * 3.0 - 1.0
     ts = rng.random(500) * times[-1]
@@ -101,13 +101,37 @@ def test_scalar_probe_matches_bilinear_reference(n_records):
     centres = (np.arange(m) + 0.5) * (SIDE / m)
     grid_pts = np.array([(cx, cy) for cx in centres for cy in centres] * n_records)
     grid_ts = np.repeat(times, m * m)
-    for xs, tt in ((pts, ts), (grid_pts, grid_ts)):
-        ref = np.array([bilinear_reference(orc, px, py, t) for (px, py), t in zip(xs, tt)])
-        scal = np.array([probe(px, py, t) for (px, py), t in zip(xs, tt)])
-        assert np.array_equal(scal, ref)
-        assert np.array_equal(orc.nf_at(xs, tt), ref)
+    # cell edges and centres from x = 0 to one ulp below side, at every
+    # record time (the last included) and half-way between records
+    ticks = np.append(np.arange(2 * m) * (SIDE / (2 * m)), np.nextafter(SIDE, 0.0))
+    lattice = np.array([(a, b) for a in ticks for b in ticks])
+    edge_ts = np.union1d(times, (times[:-1] + times[1:]) / 2)
+    edge_pts = np.tile(lattice, (edge_ts.size, 1))
+    edge_tt = np.repeat(edge_ts, lattice.shape[0])
+    for o in (orc, flat):
+        for xs, tt in ((pts, ts), (grid_pts, grid_ts), (edge_pts, edge_tt)):
+            ref = np.array([bilinear_reference(o, px, py, t) for (px, py), t in zip(xs, tt)])
+            assert np.array_equal(o.nf_at(xs, tt), ref)
     # a centre at a record time reads the stored value
     assert np.array_equal(orc.nf_at(grid_pts, grid_ts), orc.grids.ravel())
+
+
+def test_nf_at_refuses_a_nan_time():
+    orc = FieldOracle(np.array([0.0, 1.0]), np.stack([np.full((4, 4), 0.2),
+                                                     np.full((4, 4), 0.4)]), SIDE)
+    with pytest.raises(OracleSpanError):
+        orc.nf_at((0.5, 0.5), np.nan)
+    with pytest.raises(OracleSpanError):
+        orc.nf_at(np.full((3, 2), 0.5), [0.5, np.nan, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nf_at_refuses_a_position_that_is_not_finite(bad):
+    orc = constant_oracle(SIDE, 0.25, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        orc.nf_at((0.5, bad), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        orc.nf_at([(0.1, 0.2), (bad, 0.5)], 0.5)
 
 
 def test_nf_at_shapes():
