@@ -503,7 +503,9 @@ def test_b_shortcut_agrees_with_b_attempt_on_random_draws():
 def test_probe_cap_bounds_the_probe(solved_oracle):
     rng = np.random.default_rng(12)
     xs = rng.random((10_000, 2)) * SIDE
-    # records of one value everywhere: the weights' rounding is all that is left
+    # on the constant oracle (records of one value everywhere) the weights'
+    # rounding is all that can exceed the records; each oracle is probed over
+    # its own span
     for orc in (solved_oracle, constant_oracle(SIDE, 0.3, 1.0)):
         lo, hi = orc.span
         ts = lo + rng.random(10_000) * (hi - lo)
