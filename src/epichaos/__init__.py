@@ -6,15 +6,15 @@ agent count grows.
 
 from .core import Label, ModelParams, SeedSpec, in_range, wrap
 from .initial import InitialCondition, InitialConditionError, uniform_sir
-from .particle import (ConfigError, Counters, EnsembleState, Trajectory, run,
-                       sample_initial)
+from .particle import (ConfigError, Counters, EnsembleState, Trajectory, replica_counts,
+                       replica_passes, run, sample_initial, sample_replicas)
 from .kinetic import (DiscKernel, FieldTrajectory, GridError, GridSpec,
                       KineticField, field_from_initial, infection_intensity,
                       load_field, save_field, solve)
 from .meanfield import (FieldOracle, OracleSpanError, constant_oracle, ensemble_counts,
                         run_ensemble)
-from .coupling import (CoupledEnsemble, CoupledTrajectory, b_attempt, mismatch_bound,
-                       mismatch_fraction, run_coupled)
+from .coupling import (PASS_AGENTS, CoupledEnsemble, CoupledTrajectory, b_attempt,
+                       coupled_counts, mismatch_bound, mismatch_fraction, run_coupled)
 from .observables import (EmpiricalMarginal, empirical_marginal, ensemble_aggregate,
                           l1_distance, pair_factorization_gap)
 from . import oracles

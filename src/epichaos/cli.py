@@ -35,7 +35,7 @@ from .initial import InitialCondition, InitialConditionError
 from .kinetic import (DiscKernel, GridError, GridSpec, KineticField, field_from_initial,
                       save_field, solve)
 from .meanfield import FieldOracle, constant_oracle, ensemble_counts, run_ensemble
-from .coupling import Channels, mismatch_bound, run_coupled
+from .coupling import Channels, coupled_counts, mismatch_bound
 from .observables import empirical_marginal, ensemble_aggregate
 from .particle import ConfigError, check_sample_times, run, sample_initial
 
@@ -352,17 +352,12 @@ def _meanfield_chunk(cfg: RunConfig, oracle: FieldOracle, rids):
 
 def _couple_chunk(cfg: RunConfig, oracle: FieldOracle, n: int, rids):
     """The mismatch (len(rids), times), the a and b counts (len(rids), times,
-    3) and the b channel counts (len(rids), channels) of the paired runs
-    ``rids`` at n agents; one ``run_coupled`` per replica."""
-    results = []
-    for rid in rids:
-        seed = SeedSpec(cfg.seed).child(n, rid)
-        state = sample_initial(cfg.initial, n, seed.child(0).rng())
-        traj = run_coupled(state, cfg.model.with_n(n), oracle, cfg.t_max,
-                           cfg.sample_times, seed.child(1))
-        results.append((traj.mismatch, traj.counts_a, traj.counts_b,
-                        astuple(traj.channels)))
-    return [np.array(part) for part in zip(*results)]
+    3) and the b channel counts summed over the replicas, (1, channels), of
+    the paired runs ``rids`` at n agents: one ``coupled_counts`` call."""
+    seeds = [SeedSpec(cfg.seed).child(n, rid) for rid in rids]
+    *rows, channels = coupled_counts(n, cfg.initial, oracle, cfg.model.with_n(n), cfg.t_max,
+                                     cfg.sample_times, seeds)
+    return (*rows, np.array([astuple(channels)]))
 
 
 def _pool_map(task, jobs, threads):
@@ -379,8 +374,12 @@ def _pool_map(task, jobs, threads):
 
 
 def _replica_chunks(cfg: RunConfig):
-    """Ranges of replica ids, about replicas / (4 threads) in each: the
-    pool's jobs."""
+    """Ranges of replica ids: the pool's jobs.  An inline pool (one thread
+    or one CPU) gets them all in one job, so a kind that stacks replicas
+    runs its passes over every replica; a process pool gets about
+    replicas / (4 threads) in each."""
+    if min(cfg.threads, os.cpu_count() or 1) <= 1:
+        return [range(cfg.replicas)]
     size = max(1, cfg.replicas // (4 * cfg.threads))
     return [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
 

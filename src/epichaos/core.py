@@ -367,9 +367,14 @@ def label_free_pass(x, theta, t0: float, t_max: float, params: ModelParams,
     (``BlockDraws.stack``).  Returns the one ``Path`` of all agents and the
     proposals (time, agent, partner, u), in time order within each replica.
     A single replica's arrays are used as drawn.  The jump arrays are
-    dropped once the paths hold them.
+    dropped once the paths hold them.  Raises TypeError without a generator
+    and ValueError unless the agents split evenly into the replicas.
     """
-    n = theta.shape[0] // len(rngs)
+    if not rngs:
+        raise TypeError("a run needs at least one seed")
+    n, rest = divmod(theta.shape[0], len(rngs))
+    if rest:
+        raise ValueError(f"{theta.shape[0]} agents do not split into {len(rngs)} replicas")
     draws = [BlockDraws(rng, n, params, t0, t_max, pair) for rng in rngs]
     draws = BlockDraws.stack(draws, n) if len(draws) > 1 else draws[0]
     return (Path(x, theta, t0, params.side, draws),

@@ -15,14 +15,15 @@ the quantity the bound and scaling experiments measure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .core import Label, LabelTimes, ModelParams, SeedSpec, in_range, label_free_pass
+from .initial import InitialCondition
 from .meanfield import FieldOracle
-from .particle import (EnsembleState, Trajectory, check_sample_times, label_counts,
-                       resolve_infections)
+from .particle import (EnsembleState, Trajectory, check_sample_times, replica_counts,
+                       replica_passes, resolve_infections, sample_initial, sample_replicas)
 
 
 @dataclass
@@ -111,7 +112,7 @@ class CoupledTrajectory(Trajectory):
 
     def __post_init__(self):
         super().__post_init__()
-        self.counts_b = label_counts(self.b, self.times)
+        self.counts_b = replica_counts(self.b, self.times)[0]
         self.mismatch = np.asarray([mismatch_fraction(self.labels.at(s), self.b.at(s))
                                     for s in self.times])
 
@@ -129,26 +130,30 @@ class CoupledTrajectory(Trajectory):
 
 
 def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle,
-                t_max: float, sample_times, seed: SeedSpec) -> CoupledTrajectory:
+                t_max: float, sample_times, *seeds: SeedSpec) -> CoupledTrajectory:
     """Event-driven run of the paired process from the state ``run`` takes:
     both label systems start from ``initial.labels``.
 
-    Flight, recovery clocks and proposals are the label-free pass of the
-    per-agent form, and ``resolve_infections`` gives the a-labels of ``run``
-    on the same seed.  The labels never read each other, so this loop decides
-    only b.  It visits, in time order, only the proposals to initially
-    susceptible agents whose partner is in range or whose u is below
-    ``oracle.probe_cap``: no other proposal can flip a b label.  Their
-    intensities q come from one ``nf_at`` lookup before the loop.  The
-    b-attempt reads q only where the partner check and u do not settle it
-    against the largest record value, and counts p over the b-infected
-    agents only where q does not settle it either.
+    ``initial`` holds one replica of n agents per seed, replica by replica;
+    replica r draws from ``seeds[r]``, so it is the paired run of its seed
+    alone, and the counts, mismatch and ``Channels`` are those of all the
+    agents.  Flight, recovery clocks and proposals are the label-free pass
+    of the per-agent form, and ``resolve_infections`` gives the a-labels of
+    ``run`` on the same seeds.  The labels never read each other, so this
+    loop decides only b.  It visits, in time order within each replica, only
+    the proposals to initially susceptible agents whose partner is in range
+    or whose u is below ``oracle.probe_cap``: no other proposal can flip a b
+    label.  Their intensities q come from one ``nf_at`` lookup before the
+    loop.  The b-attempt reads q only where the partner check and u do not
+    settle it against the largest record value, and counts p over the
+    b-infected agents of the proposing agent's replica only where q does not
+    settle it either.
     """
     st = check_sample_times(sample_times, t_max)
     oracle.check_span(0.0, t_max)
-    n = initial.n
     path, (pt, pa, pp, pu) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                             params, [seed.rng()])
+                                             params, [s.rng() for s in seeds])
+    n = initial.n // len(seeds)
     a, b = LabelTimes(initial.labels, path), LabelTimes(initial.labels, path)
     near = path.near(pa, pp, pt, params.radius)
     resolve_infections(a, pt[near], pa[near], pp[near])
@@ -173,7 +178,9 @@ def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle
         fire = b_shortcut(pb, u, q)
         if fire is None:
             n_scan += 1
-            ill = np.flatnonzero((b.inf < t) & (t <= b.rec))
+            # agent i's replica is agents lo to lo + n
+            lo = i - i % n
+            ill = lo + np.flatnonzero((b.inf[lo:lo + n] < t) & (t <= b.rec[lo:lo + n]))
             p = np.count_nonzero(in_range(path.positions(ill, t), (x, y),
                                           params.radius, params.side)) / n
             fire = b_attempt(p, q, pb, u)
@@ -192,3 +199,41 @@ def run_coupled(initial: EnsembleState, params: ModelParams, oracle: FieldOracle
     return CoupledTrajectory(st.copy(), path, a, pt, t_max, b,
                              Channels(b_prop, n_probe, n_scan, partner_fires,
                                       residual_fires, thinned))
+
+
+#: Agents in one pass of ``coupled_counts``, which bounds its memory: a
+#: paired pass holds about 400 B per agent at t = 1.  A replica larger than
+#: this runs alone.
+PASS_AGENTS = 2048
+
+
+def coupled_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: ModelParams,
+                   t_max: float, sample_times, seeds):
+    """The paired run of each of ``seeds`` at n agents: its mismatch, shape
+    (len(seeds), len(sample_times)), its a and b (S, I, R) counts, each
+    (len(seeds), len(sample_times), 3), and the ``Channels`` summed over
+    every run.
+
+    Replica r is sampled from ``seeds[r].child(0)`` and run on
+    ``seeds[r].child(1)``.  Each pass of ``replica_passes`` (up to
+    ``PASS_AGENTS`` agents) is one ``run_coupled`` call; its replicas' labels
+    count in one ``bincount`` per sample time, and a replica's mismatch is
+    the mean over its own agents, ``mismatch_fraction``'s bits.  So every row
+    is that of one ``run_coupled`` per seed, whatever the pass size.
+    """
+    st = check_sample_times(sample_times, t_max)
+    mismatch = np.empty((len(seeds), st.size))
+    counts_a = np.empty((len(seeds), st.size, 3), dtype=np.int64)
+    counts_b = np.empty_like(counts_a)
+    channels = np.zeros(len(astuple(Channels())), dtype=np.int64)
+    for rows, chunk in replica_passes(n, seeds, PASS_AGENTS):
+        initial = sample_replicas(lambda rng: sample_initial(ic, n, rng), chunk)
+        # counted per replica below, so the pass samples no times
+        traj = run_coupled(initial, params, oracle, t_max, (), *(s.child(1) for s in chunk))
+        a, b = traj.labels, traj.b
+        for j, s in enumerate(st):
+            mismatch[rows, j] = np.mean((a.at(s) != b.at(s)).reshape(len(chunk), n), axis=1)
+        counts_a[rows] = replica_counts(a, st, len(chunk))
+        counts_b[rows] = replica_counts(b, st, len(chunk))
+        channels += astuple(traj.channels)
+    return mismatch, counts_a, counts_b, Channels(*channels.tolist())

@@ -18,7 +18,7 @@ from .core import (Label, LabelTimes, ModelParams, SeedSpec, concat, label_free_
                    wrap)
 from .initial import InitialCondition
 from .kinetic import FieldTrajectory
-from .particle import Trajectory, check_sample_times
+from .particle import Trajectory, check_sample_times, replica_counts, replica_passes
 
 
 class OracleSpanError(ValueError):
@@ -49,6 +49,11 @@ class FieldOracle:
             raise ValueError("need one (m, m) grid per record time")
         if self.times.size == 0:
             raise ValueError("oracle needs at least one record")
+        # the order checks below are false on NaN, so NaN is refused here
+        if not np.isfinite(self.times).all():
+            raise ValueError("record times must be finite")
+        if not np.isfinite(self.grids).all():
+            raise ValueError("intensity records must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("record times must be strictly increasing")
         if self.grids.min() < -1e-9 or self.grids.max() > 1.0 + 1e-9:
@@ -126,7 +131,8 @@ def constant_oracle(side: float, value: float, t_max: float, m: int = 4) -> Fiel
 
 
 #: Agents simulated in one pass of ``ensemble_counts``, which bounds its
-#: memory; a replica larger than this runs alone.
+#: memory; a replica larger than this runs alone.  Its passes hold no
+#: per-proposal loop, so they are larger than a paired run's.
 CHUNK_AGENTS = 1 << 16
 
 
@@ -165,22 +171,15 @@ def ensemble_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: M
     """The (S, I, R) counts at the sample times of ``run_ensemble`` with each
     of ``seeds``, shape (len(seeds), len(sample_times), 3).
 
-    Each chunk of up to ``CHUNK_AGENTS // n`` seeds (at least one) is one
-    ``run_ensemble`` call, and every replica's labels count in one
-    ``bincount`` per sample time.  Replicas never interact, so the counts
-    are those of one ``run_ensemble`` per seed, byte for byte, whatever the
-    chunking.
+    Each pass of ``replica_passes`` (up to ``CHUNK_AGENTS`` agents) is one
+    ``run_ensemble`` call, and its replicas' labels count in one
+    ``bincount`` per sample time, so the counts are those of one
+    ``run_ensemble`` per seed, byte for byte, whatever the pass size.
     """
     st = check_sample_times(sample_times, t_max)
     counts = np.empty((len(seeds), st.size, 3), dtype=np.int64)
-    per = max(1, CHUNK_AGENTS // n)
-    for lo in range(0, len(seeds), per):
-        chunk = seeds[lo:lo + per]
-        # counted per replica below, so the pass samples no times
+    for rows, chunk in replica_passes(n, seeds, CHUNK_AGENTS):
+        # counted per replica here, so the pass samples no times
         lab = run_ensemble(n, ic, oracle, params, t_max, (), *chunk).labels
-        # replica r's labels count in bins 3r, 3r + 1, 3r + 2
-        offset = np.repeat(np.arange(0, 3 * len(chunk), 3), n)
-        for j, s in enumerate(st):
-            counts[lo:lo + len(chunk), j] = np.bincount(
-                offset + lab.at(s), minlength=3 * len(chunk)).reshape(-1, 3)
+        counts[rows] = replica_counts(lab, st, len(chunk))
     return counts

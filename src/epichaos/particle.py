@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LabelTimes, ModelParams, Path, SeedSpec, label_free_pass, wrap
+from .core import LabelTimes, ModelParams, Path, SeedSpec, concat, label_free_pass, wrap
 from .initial import InitialCondition
 
 
@@ -79,10 +79,16 @@ def check_sample_times(sample_times, t_max: float) -> np.ndarray:
     return st
 
 
-def label_counts(labels: LabelTimes, times) -> np.ndarray:
-    """The (S, I, R) counts of one label system at each of the times."""
-    rows = [np.bincount(labels.at(s), minlength=3) for s in times]
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+def replica_counts(labels: LabelTimes, times, replicas: int = 1) -> np.ndarray:
+    """The (S, I, R) counts of one label system at each of the times, per
+    replica: its agents split into ``replicas`` equal blocks, shape
+    (replicas, len(times), 3).  Block r counts in bins 3r, 3r + 1, 3r + 2
+    of one ``bincount`` per time."""
+    offset = np.repeat(np.arange(0, 3 * replicas, 3), labels.inf.size // replicas)
+    counts = np.empty((replicas, len(times), 3), dtype=np.int64)
+    for j, s in enumerate(times):
+        counts[:, j] = np.bincount(offset + labels.at(s), minlength=3 * replicas).reshape(-1, 3)
+    return counts
 
 
 @dataclass
@@ -100,7 +106,7 @@ class Trajectory:
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.counts = label_counts(self.labels, self.times)
+        self.counts = replica_counts(self.labels, self.times)[0]
 
     def state_at(self, s: float) -> EnsembleState:
         """Positions, headings, labels and event counts at time s; ValueError
@@ -133,22 +139,45 @@ def resolve_infections(labels: LabelTimes, times, agents, partners,
 
 
 def run(initial: EnsembleState, params: ModelParams, t_max: float, sample_times,
-        seed: SeedSpec, interaction: str = "per_agent") -> Trajectory:
+        *seeds: SeedSpec, interaction: str = "per_agent") -> Trajectory:
     """Event-driven run to time t_max with counts at the sample times.
 
+    ``initial`` holds one replica of n agents per seed, replica by replica
+    (``sample_replicas``); replica r draws from ``seeds[r]``, so it is the
+    run of its seed alone, and the counts are summed over the replicas.
     Flight, recovery clocks and proposals are the label-free pass; one loop
-    resolves, in time order, only the proposals whose partner is another
-    agent in range.  Identical initial state, parameters and seed give a
-    bit-identical trajectory, and the path on [0, s] is the same for every
-    t_max >= s.
+    resolves, in time order within each replica, only the proposals whose
+    partner is another agent in range.  Identical initial state, parameters
+    and seeds give a bit-identical trajectory, and the path on [0, s] is the
+    same for every t_max >= s.
     """
     if interaction not in ("pair", "per_agent"):
         raise ConfigError(f"unknown interaction scheme {interaction!r}")
     st = check_sample_times(sample_times, t_max)
     pair = interaction == "pair"
     path, (pt, pa, pp, _) = label_free_pass(initial.x, initial.theta, initial.t, t_max,
-                                            params, [seed.rng()], pair)
+                                            params, [s.rng() for s in seeds], pair)
     lab = LabelTimes(initial.labels, path)
     near = path.near(pa, pp, pt, params.radius)
     resolve_infections(lab, pt[near], pa[near], pp[near], pair)
     return Trajectory(st.copy(), path, lab, pt, t_max)
+
+
+def replica_passes(n: int, seeds, max_agents: int):
+    """The seeds of replicas of n agents in passes of up to max_agents // n
+    (at least one), which bounds a pass's memory: (rows, seeds) of each
+    pass, its rows a slice of ``seeds``.  Replicas never interact, so each
+    replica of a stacked pass is the run of its seed alone, whatever the
+    pass size."""
+    per = max(1, max_agents // n)
+    for lo in range(0, len(seeds), per):
+        yield slice(lo, lo + per), seeds[lo:lo + per]
+
+
+def sample_replicas(sample, seeds) -> EnsembleState:
+    """One state of the replicas' agents, replica by replica: replica r is
+    ``sample(seeds[r].child(0).rng())``, an ``EnsembleState``; a stacked run
+    then draws replica r's pass from ``seeds[r].child(1)``."""
+    states = [sample(s.child(0).rng()) for s in seeds]
+    return EnsembleState(*(concat([getattr(s, k) for s in states])
+                           for k in ("x", "theta", "labels")))

@@ -47,15 +47,10 @@ def fine_solution():
 
 
 def coupled_means(oracle, n, reps, times, seed_tag):
-    base = ec.SeedSpec(20_001)
-    params = BASE.with_n(n)
-    rows = np.empty((reps, len(times)))
-    for r in range(reps):
-        seed = base.child(seed_tag, n, r)
-        state = ec.sample_initial(IC, n, seed.child(0).rng())
-        traj = ec.run_coupled(state, params, oracle, times[-1], times, seed.child(1))
-        rows[r] = traj.mismatch
-    return rows
+    """The mismatch (reps, times) of the paired runs of seeds
+    ``SeedSpec(20_001).child(seed_tag, n, r)``."""
+    seeds = [ec.SeedSpec(20_001).child(seed_tag, n, r) for r in range(reps)]
+    return ec.coupled_counts(n, IC, oracle, BASE.with_n(n), times[-1], times, seeds)[0]
 
 
 def test_c01_mismatch_bound(coarse_oracle):
@@ -104,16 +99,19 @@ def test_c03_exactness_vs_master_equation():
     reps = 100_000
     t_obs = [0.5, 1.0]
     counts = {t: np.zeros(27) for t in t_obs}
-    base = ec.SeedSpec(30_001)
+    seeds = [ec.SeedSpec(30_001).child(r) for r in range(reps)]
     init = np.array([0, 0, 1], dtype=np.int8)
-    for r in range(reps):
-        seed = base.child(r)
-        rng = seed.child(0).rng()
-        state = ec.EnsembleState(rng.random((n, 2)), rng.random(n) * 2 * math.pi,
-                                 init.copy())
-        traj = ec.run(state, params, t_obs[-1], t_obs, seed.child(1))
+
+    def start(rng):
+        return ec.EnsembleState(rng.random((n, 2)), rng.random(n) * 2 * math.pi, init.copy())
+    # replica r starts from seeds[r].child(0) and runs on seeds[r].child(1),
+    # in stacked passes; its label vector at t is one row of labels.at(t)
+    digits = 3 ** np.arange(n - 1, -1, -1)  # state_index of each row
+    for _, chunk in ec.replica_passes(n, seeds, ec.PASS_AGENTS):
+        labels = ec.run(ec.sample_replicas(start, chunk), params, t_obs[-1], (),
+                        *(s.child(1) for s in chunk)).labels
         for t in t_obs:
-            counts[t][state_index(traj.state_at(t).labels)] += 1
+            counts[t] += np.bincount(labels.at(t).reshape(-1, n) @ digits, minlength=27)
     p0 = np.zeros(27)
     p0[state_index(init)] = 1.0
     boot_rng = np.random.default_rng(5)
@@ -179,21 +177,17 @@ def test_c07_coupled_marginal_consistency(coarse_oracle):
     n, reps = 500, 10_000
     params = BASE.with_n(n)
     base = ec.SeedSpec(70_001)
-    i_a = np.empty(reps, dtype=np.int64)
-    i_b = np.empty(reps, dtype=np.int64)
+    # each of the three systems in stacked passes: replica r is the run of
+    # seed base.child(system, r) alone, count for count
+    _, counts_a, counts_b, _ = ec.coupled_counts(n, IC, coarse_oracle, params, 1.0, [1.0],
+                                                 [base.child(0, r) for r in range(reps)])
+    i_a, i_b = counts_a[:, -1, 1], counts_b[:, -1, 1]
     i_p = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        seed = base.child(0, r)
-        st = ec.sample_initial(IC, n, seed.child(0).rng())
-        tr = ec.run_coupled(st, params, coarse_oracle, 1.0, [1.0], seed.child(1))
-        i_a[r] = tr.counts_a[-1][1]
-        i_b[r] = tr.counts_b[-1][1]
-    for r in range(reps):
-        seed = base.child(1, r)
-        st = ec.sample_initial(IC, n, seed.child(0).rng())
-        i_p[r] = ec.run(st, params, 1.0, [1.0], seed.child(1)).counts[-1][1]
-    # the field-driven runs in batches: replica r is run_ensemble with seed
-    # base.child(2, r), count for count
+    for rows, chunk in ec.replica_passes(n, [base.child(1, r) for r in range(reps)],
+                                         ec.PASS_AGENTS):
+        st = ec.sample_replicas(lambda rng: ec.sample_initial(IC, n, rng), chunk)
+        labels = ec.run(st, params, 1.0, (), *(s.child(1) for s in chunk)).labels
+        i_p[rows] = ec.replica_counts(labels, [1.0], len(chunk))[:, -1, 1]
     i_m = ec.ensemble_counts(n, IC, coarse_oracle, params, 1.0, [1.0],
                              [base.child(2, r) for r in range(reps)])[:, -1, 1]
     ks_a = stats.ks_2samp(i_a, i_p)

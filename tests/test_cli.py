@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import epichaos
 from epichaos import (ConfigError, DiscKernel, SeedSpec, field_from_initial, load_field,
                       run_ensemble, solve)
-from epichaos import meanfield
+from epichaos import cli, meanfield
 from epichaos.cli import _rows, _solve_oracle, _write_csv, fit_loglog_slope, main, parse_config
 
 MINIMAL = """
@@ -132,10 +132,11 @@ WEIGHTED = FULL.replace("[initial]", "[initial]\nweights = 1 2; 3 4").replace(
 
 
 def test_thread_pool_does_not_change_output(tmp_path):
-    # the jobs are chunks of 30 replicas, 7 at one thread and 2 at three
+    # at one thread the 30 replicas are one job; at three, on two CPUs or
+    # more, they are jobs of 2 on a process pool
     thirty = FULL.replace("replicas = 3", "replicas = 30")
     for kind, text in (("particle", thirty + "cell_counts = true\n"), ("meanfield", WEIGHTED),
-                       ("couple", thirty)):
+                       ("couple", thirty), ("study", thirty + "n_values = 30 60\n")):
         cfg_path = tmp_path / f"{kind}.ini"
         cfg_path.write_text(text)
         listed = []
@@ -154,7 +155,7 @@ def test_thread_pool_does_not_change_output(tmp_path):
 @pytest.mark.parametrize("text", [FULL.replace("replicas = 3", "replicas = 30"), WEIGHTED],
                          ids=["uniform", "weights"])
 def test_meanfield_replicas_equal_one_run_per_seed(tmp_path, monkeypatch, text):
-    # jobs of 7 replicas (30 // 4) run in passes of 3: replica r is still
+    # one job of 30 replicas runs in passes of 3: replica r is still
     # run_ensemble with its own seed
     cfg = parse_config(text, "meanfield")
     monkeypatch.setattr(meanfield, "CHUNK_AGENTS", 3 * cfg.model.n)
@@ -381,6 +382,57 @@ def test_study_experiment_fits_slope(tmp_path):
     assert lines[0] == "time,slope,stderr,ci95_lo,ci95_hi"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.5"]
     assert (tmp_path / "o" / "plot.gp").exists()
+
+
+#: A small ``study`` whose paired runs scan p.
+PINNED_STUDY = (FULL.replace("r0 = 0.1", "r0 = 0.2").replace("lambda = 1.0", "lambda = 3.0")
+                .replace("replicas = 3", "replicas = 8")
+                .replace("t = 0.5\nsample_times = 0.0 0.25 0.5",
+                         "t = 1.0\nsample_times = 0.0 0.5 1.0")
+                + "n_values = 30 60\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_study_keeps_its_pinned_bytes(tmp_path, threads):
+    # the sha256 of each CSV and of the manifest's channel counts pin the
+    # paired runs, their passes and the pool's jobs at once
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(PINNED_STUDY)
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", threads]) == 0
+    pinned = {"observations.csv":
+                  "26e64a92462f2de58f172fc31ece6a46dece458fdba9309e5a420e9859e5dd6a",
+              "summary.csv": "d81df512caa05a2be3d16c2a7148899e5c718a8dec32184aebf71473700eb6d5",
+              "slope.csv": "31fa6e3edf2387b501af554509d82e03ed36b5b5d6c920f2d516fc4dc8767e33"}
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    channels = json.loads((out / "manifest.json").read_text())["coupling_channels"]
+    assert channels["60"]["scans"] > 0
+    assert hashlib.sha256(json.dumps(channels, sort_keys=True).encode()).hexdigest() == \
+        "04cb55f464b7d2797aef421fb914ec9fcfa8df3449c9828a614da20bc040b5ef"
+
+
+@pytest.mark.parametrize("kind", ["particle", "meanfield", "couple"])
+@pytest.mark.parametrize("threads,cpus", [(1, 64), (3, 1), (3, None)])
+def test_inline_pool_gets_one_job(tmp_path, monkeypatch, kind, threads, cpus):
+    # an inline pool runs every replica in one job, so a stacked kind's
+    # passes span them all; the pool is only recorded, so no process starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    jobs = []
+    pool_map = cli._pool_map
+
+    def recorded(task, job_list, threads):
+        jobs.append(list(job_list))
+        return pool_map(task, job_list, threads)
+    monkeypatch.setattr(cli, "_pool_map", recorded)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("replicas = 3", "replicas = 30"))
+    assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--threads", str(threads)]) == 0
+    assert jobs == [[range(30)]] and _RecordingPool.sizes == []
 
 
 def test_study_of_one_replica_writes_no_plot(tmp_path):

@@ -8,11 +8,12 @@ from scipy import stats
 
 from epichaos import (ConfigError, CoupledEnsemble, EnsembleState, Label, ModelParams,
                       OracleSpanError, SeedSpec, b_attempt,
-                      constant_oracle, in_range, mismatch_bound,
+                      constant_oracle, coupled_counts, in_range, mismatch_bound,
                       mismatch_fraction, run, run_coupled, run_ensemble,
                       sample_initial, uniform_sir, wrap,
                       FieldOracle, GridSpec, field_from_initial, solve)
 from epichaos.core import TWO_PI, BlockDraws, torus_distance
+from epichaos import coupling
 from epichaos.coupling import b_shortcut
 
 SIDE = 1.0
@@ -532,6 +533,65 @@ def test_run_coupled_counts_each_b_channel(solved_oracle):
                    ch.residual_fires, ch.thinned]
     # the field and the agents differ enough here for every channel to occur
     assert np.all(totals > 0), totals
+
+
+def _paired_seeds(reps):
+    """A config of the solved oracle on which p is scanned, and seeds."""
+    n = 40
+    return (n, make_params(n, radius=0.2), uniform_sir(SIDE, 0.7, 0.3, 0.0),
+            [SeedSpec(34).child(r) for r in range(reps)])
+
+
+def test_run_coupled_stacks_its_seeds_replica_by_replica(solved_oracle):
+    n, params, ic, seeds = _paired_seeds(5)
+    times = [0.0, 0.75, 1.5]
+    starts = [sample_initial(ic, n, s.child(0).rng()) for s in seeds]
+    stacked = EnsembleState(*(np.concatenate([getattr(st, k) for st in starts])
+                              for k in ("x", "theta", "labels")))
+    both = run_coupled(stacked, params, solved_oracle, 1.5, times, *seeds)
+    ones = [run_coupled(st, params, solved_oracle, 1.5, times, s)
+            for st, s in zip(starts, seeds)]
+    for system in ("labels", "b"):
+        for name in ("inf", "rec"):
+            assert getattr(getattr(both, system), name).tobytes() == np.concatenate(
+                [getattr(getattr(one, system), name) for one in ones]).tobytes(), system
+    assert np.array_equal(both.counts_b, sum(one.counts_b for one in ones))
+    assert dataclasses.astuple(both.channels) == tuple(
+        map(sum, zip(*(dataclasses.astuple(one.channels) for one in ones))))
+    assert both.channels.scans > 0
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, 7, 9])
+def test_coupled_counts_equal_one_run_per_seed(monkeypatch, solved_oracle, per_pass):
+    # passes of 1, 2, 7 and all 9 replicas; p is counted over each agent's
+    # own replica, so every row is that of its seed's run alone
+    n, params, ic, seeds = _paired_seeds(9)
+    monkeypatch.setattr(coupling, "PASS_AGENTS", per_pass * n)
+    times = [0.0, 0.75, 1.5]
+    mismatch, counts_a, counts_b, channels = coupled_counts(
+        n, ic, solved_oracle, params, 1.5, times, seeds)
+    assert mismatch.shape == (9, 3) and counts_a.shape == counts_b.shape == (9, 3, 3)
+    total = np.zeros(6, dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        one = run_coupled(sample_initial(ic, n, seed.child(0).rng()), params, solved_oracle,
+                          1.5, times, seed.child(1))
+        assert mismatch[r].tobytes() == one.mismatch.tobytes(), r
+        assert np.array_equal(counts_a[r], one.counts_a), r
+        assert np.array_equal(counts_b[r], one.counts_b), r
+        total += dataclasses.astuple(one.channels)
+    assert dataclasses.astuple(channels) == tuple(total.tolist())
+    assert channels.scans > 0 and mismatch[:, -1].max() > 0
+
+
+def test_stacked_loops_need_seeds_that_split_their_agents(solved_oracle):
+    n, params, ic, seeds = _paired_seeds(2)
+    state = sample_initial(ic, 2 * n + 1, seeds[0].rng())
+    for call in (lambda *s: run_coupled(state, params, solved_oracle, 1.0, [1.0], *s),
+                 lambda *s: run(state, params, 1.0, [1.0], *s)):
+        with pytest.raises(TypeError, match="at least one seed"):
+            call()
+        with pytest.raises(ValueError, match="do not split"):
+            call(*seeds)
 
 
 def test_marginal_consistency_reduced():

@@ -24,6 +24,21 @@ def test_oracle_validates_input():
         FieldOracle(np.array([0.0, 1.0]), np.full((2, 4, 4), 1.5), SIDE)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_oracle_refuses_record_times_that_are_not_finite(bad):
+    # np.diff of a NaN time is NaN, which no order check catches
+    with pytest.raises(ValueError, match="record times must be finite"):
+        FieldOracle(np.array([0.0, bad]), np.zeros((2, 4, 4)), SIDE)
+
+
+def test_oracle_refuses_intensity_records_that_are_not_finite():
+    # a NaN grid would make probe_cap NaN, and every u < NaN is false
+    grids = np.full((2, 4, 4), 0.3)
+    grids[1, 2, 3] = math.nan
+    with pytest.raises(ValueError, match="intensity records must be finite"):
+        FieldOracle(np.array([0.0, 1.0]), grids, SIDE)
+
+
 def test_nf_at_constant_field():
     orc = constant_oracle(SIDE, 0.25, 2.0)
     rng = np.random.default_rng(0)

@@ -1,12 +1,14 @@
 import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from epichaos import (ConfigError, Counters, EnsembleState, GridError, GridSpec, Label,
-                      ModelParams, SeedSpec, run, sample_initial, uniform_sir)
+                      ModelParams, SeedSpec, replica_counts, replica_passes, run,
+                      sample_initial, sample_replicas, uniform_sir)
 from epichaos.core import TWO_PI
 from epichaos.particle import check_sample_times
 from epichaos.oracles import master_equation_solve, state_index
@@ -233,6 +235,32 @@ def test_run_keeps_its_pinned_outputs(interaction, seed):
         sha.update(np.ascontiguousarray(arr).tobytes())
     assert sha.hexdigest() == digest
     assert final.counters == counters
+
+
+@pytest.mark.parametrize("interaction", ["per_agent", "pair"])
+@pytest.mark.parametrize("per_pass", [1, 2, 7, 9])
+def test_stacked_run_is_one_run_per_seed(interaction, per_pass):
+    # replicas share no agent, so each is the run of its seed alone in
+    # passes of any size, and the label counts of a pass split per replica
+    n, times = 30, [0.0, 0.5, 1.0]
+    params = make_params(n, lam=3.0, radius=0.3)
+    ic = uniform_sir(1.0, 0.8, 0.2, 0.0)
+    seeds = [SeedSpec(18).child(r) for r in range(9)]
+    ones = [run(sample_initial(ic, n, s.child(0).rng()), params, 1.0, times, s.child(1),
+                interaction=interaction) for s in seeds]
+    for rows, chunk in replica_passes(n, seeds, per_pass * n):
+        start = sample_replicas(lambda rng: sample_initial(ic, n, rng), chunk)
+        both = run(start, params, 1.0, times, *(s.child(1) for s in chunk),
+                   interaction=interaction)
+        for name in ("inf", "rec"):
+            assert getattr(both.labels, name).tobytes() == np.concatenate(
+                [getattr(one.labels, name) for one in ones[rows]]).tobytes()
+        per_replica = replica_counts(both.labels, times, len(chunk))
+        assert np.array_equal(per_replica, [one.counts for one in ones[rows]])
+        assert np.array_equal(both.counts, per_replica.sum(axis=0))
+        assert both.final.counters == Counters(*map(sum, zip(
+            *(astuple(one.final.counters) for one in ones[rows]))))
+    assert sum(one.final.counters.infections for one in ones) > 0
 
 
 def test_small_system_matches_master_equation():
