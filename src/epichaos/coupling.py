@@ -64,9 +64,10 @@ def b_shortcut(partner_b: bool, u: float, q: float):
     return False if u >= q * (1.0 + 1e-12) else None
 
 
-def mismatch_fraction(a, b) -> float:
-    """Fraction of agents whose two labels, a and b, disagree."""
-    return float(np.mean(a != b))
+def mismatch_fraction(a, b):
+    """Fraction of agents whose two labels, a and b, disagree, over the last
+    axis: label rows of several replicas give one fraction per replica."""
+    return np.mean(np.not_equal(a, b), axis=-1)
 
 
 def mismatch_bound(t: float, infection_rate: float, n: int) -> float:
@@ -217,9 +218,9 @@ def coupled_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mo
     Replica r is sampled from ``seeds[r].child(0)`` and run on
     ``seeds[r].child(1)``.  Each pass of ``replica_passes`` (up to
     ``PASS_AGENTS`` agents) is one ``run_coupled`` call; its replicas' labels
-    count in one ``bincount`` per sample time, and a replica's mismatch is
-    the mean over its own agents, ``mismatch_fraction``'s bits.  So every row
-    is that of one ``run_coupled`` per seed, whatever the pass size.
+    count in one ``bincount`` per sample time, and ``mismatch_fraction``
+    takes each replica's row.  So every row is that of one ``run_coupled``
+    per seed, whatever the pass size.
     """
     st = check_sample_times(sample_times, t_max)
     mismatch = np.empty((len(seeds), st.size))
@@ -232,7 +233,7 @@ def coupled_counts(n: int, ic: InitialCondition, oracle: FieldOracle, params: Mo
         traj = run_coupled(initial, params, oracle, t_max, (), *(s.child(1) for s in chunk))
         a, b = traj.labels, traj.b
         for j, s in enumerate(st):
-            mismatch[rows, j] = np.mean((a.at(s) != b.at(s)).reshape(len(chunk), n), axis=1)
+            mismatch[rows, j] = mismatch_fraction(a.at(s).reshape(-1, n), b.at(s).reshape(-1, n))
         counts_a[rows] = replica_counts(a, st, len(chunk))
         counts_b[rows] = replica_counts(b, st, len(chunk))
         channels += astuple(traj.channels)

@@ -188,6 +188,9 @@ def test_mismatch_fraction_examples():
     assert mismatch_fraction(state.a, state.b) == 1.0
     state = make_coupled([0, 1, 2], [0, 1, 2])
     assert mismatch_fraction(state.a, state.b) == 0.0
+    # label rows of replicas give one fraction each, each that of its row
+    rows = mismatch_fraction([[0, 1, 2], [0, 1, 2]], [[0, 0, 2], [0, 1, 2]])
+    assert rows.tolist() == [mismatch_fraction([0, 1, 2], [0, 0, 2]), 0.0]
 
 
 def test_mismatch_bound_value():
