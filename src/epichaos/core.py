@@ -200,8 +200,18 @@ class BlockDraws:
 
     @staticmethod
     def _times(rng, start, rate):
-        """The sorted times of a Poisson process of the given rate on one window."""
-        return start + WINDOW * np.sort(rng.random(rng.poisson(rate * WINDOW)))
+        """The sorted times of a Poisson process of the given rate on one window.
+
+        A mean too large for numpy to draw a count (above about 9.2e18
+        events) raises ``MemoryError``, as a count it could draw but not
+        hold does.
+        """
+        try:
+            count = rng.poisson(rate * WINDOW)
+        except ValueError as exc:
+            raise MemoryError(f"cannot draw {rate * WINDOW:.3g} events in one window: "
+                              f"{exc}") from exc
+        return start + WINDOW * np.sort(rng.random(count))
 
     #: The columns that hold agent ids.
     _AGENT_IDS = ("jump_agent", "tick_agent", "prop_agent", "prop_partner")

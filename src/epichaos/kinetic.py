@@ -22,7 +22,8 @@ sums run over the outer axis.  ``solve`` holds two such buffers for the
 whole run: scattering works in place, and reaction and transport write
 into the other buffer, so a step allocates nothing of full size.
 ``transport_step``, ``scattering_step`` and ``reaction_step`` are those
-sub-steps, on heading-first arrays.  Every intensity, recorded or returned
+sub-steps, on heading-first arrays; transport runs a plan of ufunc calls on
+views of the two buffers, built once per solve (``transport_plans``).  Every intensity, recorded or returned
 by ``infection_intensity``, is computed from the densities of one
 heading-first array (``_densities``), so the two agree bit for bit.
 """
@@ -153,9 +154,11 @@ class DiscKernel:
     def spectral(self, density: np.ndarray) -> np.ndarray:
         # rfft2 then irfft2 as their one-axis transforms, in the order they
         # run them: the same bits without numpy's n-d argument handling
-        spec = np.fft.fft(np.fft.rfft(density), axis=0) * self.fft
+        spec = np.fft.fft(np.fft.rfft(density), axis=0)
+        spec *= self.fft
         conv = np.fft.irfft(np.fft.ifft(spec, axis=0), n=density.shape[1])
-        return conv * self.area
+        conv *= self.area
+        return conv
 
 
 def _to_working(values: np.ndarray) -> np.ndarray:
@@ -169,9 +172,10 @@ def _from_working(work: np.ndarray) -> np.ndarray:
 
 
 def _rolled_product(src: np.ndarray, shift: int, factor: float, axis: int,
-                    out: np.ndarray) -> None:
-    """Write into ``out`` the slab ``src`` rolled by ``shift`` cells along a
-    periodic axis, times ``factor``.
+                    out: np.ndarray) -> list:
+    """The ufunc calls that write into ``out`` the slab ``src`` rolled by
+    ``shift`` cells along a periodic axis, times ``factor``, as
+    (ufunc, x, y, out) tuples.
 
     One contiguous product over the flattened slab at the roll's flat
     offset puts every cell that does not wrap in place; the cells that
@@ -187,24 +191,23 @@ def _rolled_product(src: np.ndarray, shift: int, factor: float, axis: int,
         c -= m
     flat_src, flat_out = src.ravel(), out.ravel()
     if c == 0:  # nothing wraps, and the slices below would be empty
-        np.multiply(flat_src, factor, out=flat_out)
-        return
+        return [(np.multiply, flat_src, factor, flat_out)]
     offset = c * math.prod(src.shape[axis + 1:])
     lead = (slice(None),) * axis
     if c > 0:
-        np.multiply(flat_src[:-offset], factor, out=flat_out[offset:])
-        np.multiply(src[lead + (slice(m - c, None),)], factor,
-                    out=out[lead + (slice(None, c),)])
-    else:
-        np.multiply(flat_src[-offset:], factor, out=flat_out[:offset])
-        np.multiply(src[lead + (slice(None, -c),)], factor,
-                    out=out[lead + (slice(m + c, None),)])
+        return [(np.multiply, flat_src[:-offset], factor, flat_out[offset:]),
+                (np.multiply, src[lead + (slice(m - c, None),)], factor,
+                 out[lead + (slice(None, c),)])]
+    return [(np.multiply, flat_src[-offset:], factor, flat_out[:offset]),
+            (np.multiply, src[lead + (slice(None, -c),)], factor,
+             out[lead + (slice(m + c, None),)])]
 
 
 def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
-                  scratch: np.ndarray) -> None:
-    """Write into ``out`` a periodic axis of ``values`` shifted by a (possibly
-    fractional) number of cells; ``scratch`` has the shape of ``values``.
+                  scratch: np.ndarray) -> list:
+    """The ufunc calls that write into ``out`` a periodic axis of ``values``
+    shifted by a (possibly fractional) number of cells; ``scratch`` has the
+    shape of ``values``.
 
     Equivalent to semi-Lagrangian advection with linear interpolation at
     the departure points: every cell is (1 - w) * a + w * b of its two
@@ -212,27 +215,49 @@ def _linear_shift(values: np.ndarray, shift: float, axis: int, out: np.ndarray,
     """
     s = math.floor(shift)
     w = shift - s
-    _rolled_product(values, s, 1.0 - w, axis, out)
+    calls = _rolled_product(values, s, 1.0 - w, axis, out)
     if w != 0.0:
-        _rolled_product(values, s + 1, w, axis, scratch)
-        np.add(out, scratch, out=out)
+        calls += _rolled_product(values, s + 1, w, axis, scratch)
+        calls.append((np.add, out, scratch, out))
+    return calls
 
 
-def transport_step(work: np.ndarray, out: np.ndarray, dt: float, h: float) -> None:
-    """Advect each heading slice of ``work`` by its own constant displacement
-    into ``out``."""
-    k = work.shape[0]
-    mid, scratch = np.empty_like(work[0]), np.empty_like(work[0])
-    for kv in range(k):
-        theta = TWO_PI * kv / k
-        _linear_shift(work[kv], math.cos(theta) * dt / h, 1, mid, scratch)
-        _linear_shift(mid, math.sin(theta) * dt / h, 2, out[kv], scratch)
+def transport_plans(a: np.ndarray, b: np.ndarray, dt: float, h: float) -> tuple:
+    """The transport of heading-first ``a`` into ``b``, and of ``b`` into
+    ``a``, as two plans for ``transport_step``.
+
+    A plan is the tuple of (ufunc, x, y, out) calls that advect each
+    heading slab by its own constant displacement: an x pass into a mid
+    slab, then a y pass into the output, on views of the two buffers and of
+    one mid and one scratch slab that both plans share.  Building it once
+    per solve leaves a step only the ufunc calls themselves.
+    """
+    mid, scratch = np.empty_like(a[0]), np.empty_like(a[0])
+
+    def plan(src, out):
+        k = src.shape[0]
+        calls = []
+        for kv in range(k):
+            theta = TWO_PI * kv / k
+            calls += _linear_shift(src[kv], math.cos(theta) * dt / h, 1, mid, scratch)
+            calls += _linear_shift(mid, math.sin(theta) * dt / h, 2, out[kv], scratch)
+        return tuple(calls)
+
+    return plan(a, b), plan(b, a)
+
+
+def transport_step(plan: tuple) -> None:
+    """Run a transport plan (``transport_plans``): advect each heading slab
+    of its source by its own constant displacement into its output."""
+    for ufunc, x, y, out in plan:
+        ufunc(x, y, out=out)
 
 
 def scattering_step(work: np.ndarray, dt: float) -> None:
     """Relax every cell of ``work`` exactly toward its angular mean, in place."""
     decay = math.exp(-dt)
-    fbar = work.mean(axis=0)
+    fbar = np.add.reduce(work, axis=0)  # work.mean(axis=0), bit for bit
+    fbar /= work.shape[0]
     fbar *= 1.0 - decay
     work *= decay
     work += fbar
@@ -257,7 +282,8 @@ def reaction_step(work: np.ndarray, out: np.ndarray, nf: np.ndarray, params: Mod
     the trailing half-step to keep the splitting symmetric.  The per-cell
     label sum is conserved.
     """
-    ds = np.exp(-params.infection_rate * dt * nf)
+    ds = np.multiply(nf, -params.infection_rate * dt)
+    np.exp(ds, out=ds)
     di = math.exp(-params.recovery_rate * dt)
     s, i, r = work[:, 0], work[:, 1], work[:, 2]
     s_out, i_out, r_out = out[:, 0], out[:, 1], out[:, 2]
@@ -272,11 +298,15 @@ def reaction_step(work: np.ndarray, out: np.ndarray, nf: np.ndarray, params: Mod
 def _densities(work: np.ndarray, dtheta: float) -> np.ndarray:
     """Angle-integrated (S, I, R) densities, shape (3, m, m), of heading-first
     values: the one rule every intensity is computed from."""
-    return work.sum(axis=0) * dtheta
+    rho = np.add.reduce(work, axis=0)
+    rho *= dtheta
+    return rho
 
 
 def _intensity(kernel: DiscKernel, rho_i: np.ndarray) -> np.ndarray:
-    return np.clip(kernel.spectral(rho_i), 0.0, 1.0)
+    # np.clip keeps the sign of a zero, where np.maximum would not
+    conv = kernel.spectral(rho_i)
+    return np.clip(conv, 0.0, 1.0, out=conv)
 
 
 def _corrected_intensity(rho: np.ndarray, nf0: np.ndarray, params: ModelParams,
@@ -292,13 +322,22 @@ def _corrected_intensity(rho: np.ndarray, nf0: np.ndarray, params: ModelParams,
     """
     if params.infection_rate == 0.0:
         return nf0
-    ds = np.exp(-params.infection_rate * dt * nf0)
+    # gain = rho_s * (1 - ds), the density the S to I exchange moves
+    gain = np.multiply(nf0, -params.infection_rate * dt)
+    np.exp(gain, out=gain)
+    np.subtract(1.0, gain, out=gain)
+    gain *= rho[0]
     di = math.exp(-params.recovery_rate * dt)
-    if adjoint:
-        rho_i_pred = rho[1] * di + rho[0] * (1.0 - ds)
-    else:
-        rho_i_pred = (rho[1] + rho[0] * (1.0 - ds)) * di
-    return 0.5 * (nf0 + _intensity(kernel, rho_i_pred))
+    if adjoint:  # rho_i * di + gain
+        rho_i_pred = np.multiply(rho[1], di)
+        rho_i_pred += gain
+    else:  # (rho_i + gain) * di
+        rho_i_pred = np.add(rho[1], gain, out=gain)
+        rho_i_pred *= di
+    nf = _intensity(kernel, rho_i_pred)
+    nf += nf0
+    nf *= 0.5
+    return nf
 
 
 def infection_intensity(fld: KineticField, r0: float) -> np.ndarray:
@@ -361,9 +400,11 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
 
     kernel = DiscKernel(grid.m, grid.side, params.radius)
     dt, half, h, dtheta = grid.dt, 0.5 * grid.dt, grid.h, grid.dtheta
-    # the state lives in ``work``; reaction and transport write into ``spare``
+    # the state lives in ``work``; reaction and transport write into
+    # ``spare``, and each transport plan swaps with the buffers it reads
     work = _to_working(initial.values)
     spare = np.empty_like(work)
+    plan, back = transport_plans(spare, work, dt, h)
 
     snapshots = []
     nf_times, nf_values = [], []
@@ -382,7 +423,9 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
         nf = _intensity(kernel, rho[1])
         t = initial.t + step_idx * dt
         mass_times.append(t)
-        masses.append(rho.sum(axis=(1, 2)) * (h * h))
+        mass = np.add.reduce(rho, axis=(1, 2))
+        mass *= h * h
+        masses.append(mass)
         if step_idx % nf_stride == 0 or step_idx == n_steps:
             nf_times.append(t)
             nf_values.append(nf)
@@ -395,13 +438,13 @@ def solve(initial: KineticField, params: ModelParams, grid: GridSpec, t_max: flo
         reaction_step(work, spare, _corrected_intensity(rho, nf, params, kernel, half, False),
                       params, half, adjoint=False)
         scattering_step(spare, half)
-        transport_step(spare, work, dt, h)
+        transport_step(plan)
         scattering_step(work, half)
         rho = _densities(work, dtheta)
         nf = _corrected_intensity(rho, _intensity(kernel, rho[1]), params, kernel, half,
                                   True)
         reaction_step(work, spare, nf, params, half, adjoint=True)
-        work, spare = spare, work
+        work, spare, plan, back = spare, work, back, plan
         rho, nf = record(work, s)
 
     return FieldTrajectory(grid, snap_times, snapshots,

@@ -664,6 +664,19 @@ def test_run_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["particle", "couple", "meanfield"])
+def test_rate_too_large_to_draw_exits_2(tmp_path, capsys, kind):
+    # numpy draws no Poisson count above about 9.2e18 events, far past any
+    # memory, so such a window is refused as out of memory
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(FULL.replace("n = 60", "n = 20").replace("lambda = 1.0", "lambda = 1e20"))
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "events in one window" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weights", ["1 2; 3", "1 2; 3 4;", "1; 2 3"])
 def test_ragged_weights_exit_2(tmp_path, capsys, weights):
     cfg_path = tmp_path / "c.ini"
@@ -776,12 +789,13 @@ FUZZ_BASE = {
             "threads": "1", "n_values": "12 24"},
 }
 
-#: Edits of one key each: zero and tiny rates and radii, times off the
-#: solver's steps, grids that do not refine the initial weights, seeds of
-#: 2^64 and above, and a few more edges.
+#: Edits of one key each: zero, tiny and undrawably large rates, zero and
+#: tiny radii, times off the solver's steps, grids that do not refine the
+#: initial weights, seeds of 2^64 and above, and a few more edges.
 FUZZ_EDITS = [
-    ("model", "lambda", "0"), ("model", "lambda", "1e-300"), ("model", "gamma", "0"),
-    ("model", "gamma", "5e-324"), ("model", "r0", "0"), ("model", "r0", "1e-12"),
+    ("model", "lambda", "0"), ("model", "lambda", "1e-300"), ("model", "lambda", "1e20"),
+    ("model", "gamma", "0"), ("model", "gamma", "5e-324"), ("model", "r0", "0"),
+    ("model", "r0", "1e-12"),
     ("model", "r0", "0.7"), ("model", "n", "1"), ("model", "d", "0.3"),
     ("grid", "m", "3"), ("grid", "k", "1"), ("grid", "dt", "0.07"), ("grid", "dt", "0.5"),
     ("initial", "weights", "1 2 3; 4 5 6; 7 8 9"), ("initial", "weights", "0 0; 0 0"),

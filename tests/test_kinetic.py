@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -5,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epichaos import (DiscKernel, GridError, GridSpec, KineticField, ModelParams,
-                      field_from_initial, infection_intensity, load_field, save_field,
+from epichaos import (DiscKernel, GridError, GridSpec, InitialCondition, KineticField,
+                      ModelParams, field_from_initial, infection_intensity, load_field, save_field,
                       solve, uniform_sir)
 from epichaos import kinetic
 from epichaos.core import TWO_PI
 from epichaos.kinetic import (_from_working, _rolled_product, _to_working, reaction_step,
-                              scattering_step, transport_step)
+                              scattering_step, transport_plans, transport_step)
 from epichaos.oracles import direct_convolution, sir_ode_solve
 
 SIDE = 1.0
@@ -47,7 +48,8 @@ def smooth_field(m, k):
 def transported(values, dt):
     work = _to_working(values)
     out = np.empty_like(work)
-    transport_step(work, out, dt, SIDE / values.shape[1])
+    plan, _ = transport_plans(work, out, dt, SIDE / values.shape[1])
+    transport_step(plan)
     return _from_working(out)
 
 
@@ -353,6 +355,61 @@ def test_solve_calls_each_sub_step_by_its_module_name(monkeypatch):
     solve(smooth_field(8, 4), make_params(), grid, steps * grid.dt)
     assert calls == {"transport_step": steps, "scattering_step": 2 * steps,
                      "reaction_step": 2 * steps}
+
+
+def _pinned_solves():
+    """Three small solves, by name: a weighted field on (16, 8) with dt two
+    cells, so the axis headings shift by whole cells (both signs and zero)
+    and the diagonal ones by fractions; a field with no infected mass, whose
+    intensities are all zero; and the smooth field on (8, 8, 1e-2)."""
+    params = make_params(lam=3.0, gamma=1.0, radius=0.15)
+    grid = GridSpec(m=16, k=8, dt=2.0 / 16, side=SIDE)
+    ic = InitialCondition(SIDE, fractions=(0.7, 0.3, 0.0),
+                          weights=[[1.0, 2.0], [3.0, 0.5]])
+    yield "weighted", solve(field_from_initial(ic, grid), params, grid, 8 * grid.dt,
+                            snapshot_times=[0.0, 4 * grid.dt, 8 * grid.dt], nf_stride=3)
+    grid = GridSpec(m=16, k=4, dt=5e-3, side=SIDE)
+    fld = field_from_initial(uniform_sir(SIDE, 0.9, 0.0, 0.1), grid)
+    yield "no_infected", solve(fld, params, grid, 20 * grid.dt,
+                               snapshot_times=[10 * grid.dt, 20 * grid.dt], nf_stride=4)
+    grid = GridSpec(m=8, k=8, dt=1e-2, side=SIDE)
+    yield "coarse", solve(smooth_field(8, 8), params, grid, 25 * grid.dt,
+                          snapshot_times=[0.1, 0.25], nf_stride=5)
+
+
+#: Per solve: the sha256 of each snapshot's values, of ``nf_values`` and of
+#: ``masses``, and the clamp count.
+PINNED_SOLVES = {
+    "weighted": (
+        ["464918967e8614655931fa0e87bba623b5c0080e033a95e96ed073ef356f334a",
+         "64c592df053310ace8e9249cdce6de9692505cf80b8a48df2aa46c46c059a899",
+         "2543d11e8987462e86d4298d980a3c21114dfaf6969bf4983f288a5c7dcd41d5"],
+        "45f453505a681c17791651e259a35c0263dd50cf006ef95bb0f08b06dcf85241",
+        "e32d306b909e6bc20ad629ec2a09a3982e13dbd43def02fa3edffa5337107d86", 0),
+    "no_infected": (
+        ["fdab0e631533c4509350186fb1a1bdc92faa22af9ed043263ee2f447583559de",
+         "fdab0e631533c4509350186fb1a1bdc92faa22af9ed043263ee2f447583559de"],
+        "f3cc103136423a57975750907ebc1d367e2985ac6338976d4d5a439f50323f4a",
+        "aa9c93edb098dee098b725b97e4878ac617795c562e2f4dd33740b101ac3794e", 0),
+    "coarse": (
+        ["0f03b59a3d6cf1ac7940673c8554a6fd65c1759aa4f1d081f88c37e70cbd1743",
+         "7306db7b70056615aae0c7102d8771fdb213a0a747a8e2dd9c06e1e8e430c76e"],
+        "7d54266f48e735c59db1d70c1823816e5d595673f22ccc7c06635e6a28456b29",
+        "32319dacf7cbeb75c7ff22b8c34d7640f3e5344eab73dc8d885f7b3853e9de62", 0),
+}
+
+
+def test_solve_keeps_its_pinned_bytes():
+    # the bits of every sub-step, sign of zero included, in one sha256 each
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    for name, traj in _pinned_solves():
+        snaps, nf, masses, clamps = PINNED_SOLVES[name]
+        assert [digest(f.values) for f in traj.snapshots] == snaps, name
+        assert digest(traj.nf_values) == nf, name
+        assert digest(traj.masses) == masses, name
+        assert traj.clamp_count == clamps, name
 
 
 def test_solve_rejects_off_grid_snapshots():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epichaos import (ConfigError, Counters, EnsembleState, GridError, GridSpec, Label,
-                      ModelParams, SeedSpec, replica_counts, replica_passes, run,
+from epichaos import (PASS_AGENTS, ConfigError, Counters, EnsembleState, GridError, GridSpec,
+                      Label, ModelParams, SeedSpec, replica_counts, replica_passes, run,
                       sample_initial, sample_replicas, uniform_sir)
 from epichaos.core import TWO_PI
 from epichaos.particle import check_sample_times
@@ -270,11 +270,16 @@ def test_small_system_matches_master_equation():
     reps = 20_000
     t_obs = [0.7]
     counts = np.zeros(27)
-    base = SeedSpec(15)
-    for r in range(reps):
-        state = make_state([0, 0, 1], seed=1000 + r)
-        traj = run(state, params, t_obs[-1], t_obs, base.child(r))
-        counts[state_index(traj.state_at(t_obs[0]).labels)] += 1
+    seeds = [SeedSpec(15).child(r) for r in range(reps)]
+    # replica r starts from make_state's seed 1000 + r and runs on seeds[r],
+    # in stacked passes; its label vector at t is one row of labels.at(t)
+    digits = 3 ** np.arange(n - 1, -1, -1)  # state_index of each row
+    for rows, chunk in replica_passes(n, seeds, PASS_AGENTS):
+        states = [make_state([0, 0, 1], seed=1000 + r) for r in range(reps)[rows]]
+        stacked = EnsembleState(*(np.concatenate([getattr(st, key) for st in states])
+                                  for key in ("x", "theta", "labels")))
+        labels = run(stacked, params, t_obs[-1], t_obs, *chunk).labels
+        counts += np.bincount(labels.at(t_obs[0]).reshape(-1, n) @ digits, minlength=27)
     p0 = np.zeros(27)
     p0[state_index([0, 0, 1])] = 1.0
     exact = master_equation_solve(n, lam, gamma, p0, t_obs[0])
@@ -290,11 +295,14 @@ def test_pair_and_per_agent_schemes_agree():
     base = SeedSpec(16)
     counts = {"pair": [], "per_agent": []}
     for scheme_idx, scheme in enumerate(("pair", "per_agent")):
-        for r in range(reps):
-            seed = base.child(scheme_idx, r)
-            state = sample_initial(ic, n, seed.child(0).rng())
-            traj = run(state, params, 1.0, [1.0], seed.child(1), interaction=scheme)
-            counts[scheme].append(traj.counts[-1][1])
+        # replica r starts from seed.child(0) and runs on seed.child(1), in
+        # stacked passes
+        seeds = [base.child(scheme_idx, r) for r in range(reps)]
+        for _, chunk in replica_passes(n, seeds, PASS_AGENTS):
+            initial = sample_replicas(lambda rng: sample_initial(ic, n, rng), chunk)
+            traj = run(initial, params, 1.0, [1.0], *(s.child(1) for s in chunk),
+                       interaction=scheme)
+            counts[scheme].extend(replica_counts(traj.labels, [1.0], len(chunk))[:, -1, 1])
     ks = stats.ks_2samp(counts["pair"], counts["per_agent"])
     assert ks.pvalue > 0.01
 
