@@ -23,9 +23,10 @@ whole run: scattering works in place, and reaction and transport write
 into the other buffer, so a step allocates nothing of full size.
 ``transport_step``, ``scattering_step`` and ``reaction_step`` are those
 sub-steps, on heading-first arrays; transport runs a plan of ufunc calls on
-views of the two buffers, built once per solve (``transport_plans``).  Every intensity, recorded or returned
-by ``infection_intensity``, is computed from the densities of one
-heading-first array (``_densities``), so the two agree bit for bit.
+views of the two buffers, built once per solve (``transport_plans``).
+Every intensity, recorded or returned by ``infection_intensity``, is
+computed from the densities of one heading-first array (``_densities``), so
+the two agree bit for bit.
 """
 
 import math

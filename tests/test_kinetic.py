@@ -361,8 +361,10 @@ def _pinned_solves():
     """Three small solves, by name: a weighted field on (16, 8) with dt two
     cells, so the axis headings shift by whole cells (both signs and zero)
     and the diagonal ones by fractions; a field with no infected mass, whose
-    intensities are all zero; and the smooth field on (8, 8, 1e-2)."""
-    params = make_params(lam=3.0, gamma=1.0, radius=0.15)
+    intensities are all zero; and the smooth field on (8, 8, 1e-2).  A
+    large infection rate carries a last-bit change of any intensity into
+    the densities."""
+    params = make_params(lam=30.0, gamma=1.0, radius=0.15)
     grid = GridSpec(m=16, k=8, dt=2.0 / 16, side=SIDE)
     ic = InitialCondition(SIDE, fractions=(0.7, 0.3, 0.0),
                           weights=[[1.0, 2.0], [3.0, 0.5]])
@@ -382,20 +384,20 @@ def _pinned_solves():
 PINNED_SOLVES = {
     "weighted": (
         ["464918967e8614655931fa0e87bba623b5c0080e033a95e96ed073ef356f334a",
-         "64c592df053310ace8e9249cdce6de9692505cf80b8a48df2aa46c46c059a899",
-         "2543d11e8987462e86d4298d980a3c21114dfaf6969bf4983f288a5c7dcd41d5"],
-        "45f453505a681c17791651e259a35c0263dd50cf006ef95bb0f08b06dcf85241",
-        "e32d306b909e6bc20ad629ec2a09a3982e13dbd43def02fa3edffa5337107d86", 0),
+         "089cadf09824b7a74d273c82009cbe9e31b01367a02adb5cc0e53ac3bba5b99a",
+         "bc89e206d75dc978c28b8d13755385f321b275f2523d0e2ae909a335cbc3332a"],
+        "1aba6ff01f04766996b06b168dde3335cc261ca8fdbd542d20f6da7da76bbf27",
+        "f33ba275102822766c2493b5743bcb1671c0c9f414a8acfd81f0b26b39e7a416", 0),
     "no_infected": (
         ["fdab0e631533c4509350186fb1a1bdc92faa22af9ed043263ee2f447583559de",
          "fdab0e631533c4509350186fb1a1bdc92faa22af9ed043263ee2f447583559de"],
         "f3cc103136423a57975750907ebc1d367e2985ac6338976d4d5a439f50323f4a",
         "aa9c93edb098dee098b725b97e4878ac617795c562e2f4dd33740b101ac3794e", 0),
     "coarse": (
-        ["0f03b59a3d6cf1ac7940673c8554a6fd65c1759aa4f1d081f88c37e70cbd1743",
-         "7306db7b70056615aae0c7102d8771fdb213a0a747a8e2dd9c06e1e8e430c76e"],
-        "7d54266f48e735c59db1d70c1823816e5d595673f22ccc7c06635e6a28456b29",
-        "32319dacf7cbeb75c7ff22b8c34d7640f3e5344eab73dc8d885f7b3853e9de62", 0),
+        ["9feb99471fd8b927de0fa3d5025b49e5fc97f5abfb4db977fe349c4ab0fa425c",
+         "be80d03589631aee9c765eff4f8c6ecf08f108b8aac6336b1caa5c6277a3882a"],
+        "2d2f83dfe5c3e061e1213e6c0407690dbf5bca1f03eb5547107d24400f781aa5",
+        "dbdcb4f1046eebabda9842ca1bd644451e461480a1118f251068cbfd1660c05c", 0),
 }
 
 
